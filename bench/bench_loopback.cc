@@ -27,8 +27,8 @@
 // running keyed chains plus timer churn while a TimeSeriesRecorder (driven
 // by the loopback's own timers, on its own strand) samples the scheduler
 // telemetry through obs::SchedExporter — per-worker queue depth, strand
-// lag, utilization, lock-wait and tombstone counts, exported as the
-// transport.sched.* families (`--series` records them; render with
+// lag, utilization, lock-wait, inbox-wait and tombstone counts, exported as
+// the transport.sched.* families (`--series` records them; render with
 // `tiamat-inspect sched`).
 
 #include <benchmark/benchmark.h>
@@ -350,11 +350,12 @@ void BM_SchedContention(benchmark::State& state, unsigned workers) {
       .set(total_secs > 0 ? static_cast<double>(total_ops) / total_secs : 0);
   r.gauge("transport.workers", l).set(workers);
   std::uint64_t tasks = 0, tombstones = 0, cancels = 0, busy = 0;
-  std::uint64_t depth_max = 0, lag_max = 0;
+  std::uint64_t inbox_wait = 0, depth_max = 0, lag_max = 0;
   for (const auto& w : sched.workers) {
     tasks += w.tasks;
     tombstones += w.tombstones;
     cancels += w.cancels;
+    inbox_wait += w.inbox_wait_us;
     busy += w.busy_us;
     depth_max = std::max(depth_max, w.queue_depth_max);
     lag_max = std::max(lag_max, w.lag_us_max);
@@ -363,6 +364,7 @@ void BM_SchedContention(benchmark::State& state, unsigned workers) {
   r.counter("transport.sched.tombstones", l).add(tombstones);
   r.counter("transport.sched.cancels", l).add(cancels);
   r.counter("transport.sched.lock_wait_us", l).add(sched.lock_wait_us);
+  r.counter("transport.sched.inbox_wait_us", l).add(inbox_wait);
   r.gauge("transport.sched.queue_depth_max", l)
       .set(static_cast<double>(depth_max));
   r.gauge("transport.sched.strand_lag_max_us", l)

@@ -55,6 +55,9 @@ if [[ "${1:-}" != "--release-only" ]]; then
   cmake --build --preset tsan --target test_transport -j "${jobs}"
   echo "== tsan: transport tests =="
   ctest --preset tsan -R Transport -j "${jobs}"
+  echo "== tsan: teardown stress + inbox order, repeated =="
+  ctest --preset tsan -R 'TransportTeardown|LoopbackTransport' \
+    --repeat until-fail:3 -j "${jobs}"
   # Instrumentation-overhead gate (DESIGN.md §13): bench the release tree
   # against an identical tree with TIAMAT_OBS_OFF on the loopback hot path.
   # Soft by default (wall-clock noise); OBS_OVERHEAD_HARD=1 enforces.

@@ -97,7 +97,14 @@ Instance::Instance(transport::Transport& tx, Config cfg,
 }
 
 Instance::~Instance() {
-  // Cancel every timer that captures `this` before members are torn down.
+  // Model departure from the environment: in-flight packets to this node
+  // are dropped and it stops being visible. This comes first because on a
+  // concurrent backend remove_node is the fence: once it returns, none of
+  // this node's callbacks is running or will run, so the walks below cannot
+  // race a reply, release or hold-timer task on the strand.
+  if (tx_.node_exists(node_)) tx_.remove_node(node_);
+  // Cancel every timer that captures `this` before members are torn down
+  // (the node's TimerService outlives remove_node for exactly this).
   transport::TimerService& q = timers_;
   for (auto& [id, op] : ops_) {
     (void)id;
@@ -115,9 +122,6 @@ Instance::~Instance() {
     (void)id;
     if (pc.timer != transport::kInvalidEvent) q.cancel(pc.timer);
   }
-  // Model departure from the environment: in-flight packets to this node
-  // are dropped and it stops being visible.
-  if (tx_.node_exists(node_)) tx_.remove_node(node_);
 }
 
 space::SpaceHandle Instance::handle() const {

@@ -118,8 +118,10 @@ inline constexpr std::string_view kCatalog[] = {
     "transport.ops",
     "transport.ops_per_sec",
     // loopback scheduler telemetry (obs::SchedExporter over
-    // LoopbackTransport::sched_stats(); labeled {worker} except lock_wait)
+    // LoopbackTransport::sched_stats(); labeled {worker} except lock_wait;
+    // inbox_wait times enqueuers blocked on a worker's inbox lock)
     "transport.sched.cancels",
+    "transport.sched.inbox_wait_us",
     "transport.sched.lock_wait_us",
     "transport.sched.queue_depth",
     "transport.sched.queue_depth_max",

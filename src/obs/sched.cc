@@ -21,6 +21,8 @@ void SchedExporter::update() {
         .add(w.tombstones - prev.tombstones);
     registry_.counter("transport.sched.cancels", labels)
         .add(w.cancels - prev.cancels);
+    registry_.counter("transport.sched.inbox_wait_us", labels)
+        .add(w.inbox_wait_us - prev.inbox_wait_us);
 
     registry_.gauge("transport.sched.queue_depth", labels)
         .set(static_cast<double>(w.queue_depth));

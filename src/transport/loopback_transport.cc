@@ -95,45 +95,48 @@ Time LoopbackTransport::now_coarse() const {
 NodeId LoopbackTransport::add_node(NodeOptions) {
   MutexLock lk(mu_);
   const NodeId id = next_node_++;
-  Node node;
+  // Map entries never move or get erased, so tasks and timer facades may
+  // hold the Node's address for the transport's lifetime.
+  Node& node = nodes_[id];
   node.worker = (id - 1) % workers_.size();
-  node.timers = std::make_unique<NodeTimers>(this, id, node.worker);
-  nodes_.emplace(id, std::move(node));
+  node.timers = std::make_unique<NodeTimers>(this, &node);
   return id;
 }
 
 void LoopbackTransport::remove_node(NodeId id) {
-  std::size_t worker;
+  Node* node;
   {
     MutexLock lk(mu_);
     auto it = nodes_.find(id);
-    if (it == nodes_.end() || it->second.closed) return;
-    it->second.closed = true;
-    it->second.handler = nullptr;
-    it->second.groups.clear();
-    worker = it->second.worker;
+    if (it == nodes_.end() || it->second.is_closed()) return;
+    node = &it->second;
+    node->closed.store(true, std::memory_order_relaxed);
+    node->groups.clear();
   }
-  // Quiesce: once the fence is acquired, no callback of this node is in
-  // flight and none will start (execution checks `closed` first).
-  fence(*workers_[worker]);
+  // Quiesce: once set_handler holds the strand, no callback of this node is
+  // in flight and none will start (run_task checks `closed` first, under
+  // the same exec_mu).
+  set_handler(*node, nullptr);
 }
 
 bool LoopbackTransport::node_exists(NodeId id) const {
   MutexLock lk(mu_);
   auto it = nodes_.find(id);
-  return it != nodes_.end() && !it->second.closed;
+  return it != nodes_.end() && !it->second.is_closed();
 }
 
 void LoopbackTransport::set_online(NodeId id, bool online) {
   MutexLock lk(mu_);
   auto it = nodes_.find(id);
-  if (it != nodes_.end() && !it->second.closed) it->second.online = online;
+  if (it != nodes_.end() && !it->second.is_closed()) {
+    it->second.online.store(online, std::memory_order_relaxed);
+  }
 }
 
 bool LoopbackTransport::online(NodeId id) const {
   MutexLock lk(mu_);
   auto it = nodes_.find(id);
-  return it != nodes_.end() && !it->second.closed && it->second.online;
+  return it != nodes_.end() && it->second.reachable();
 }
 
 bool LoopbackTransport::visible(NodeId a, NodeId b) const {
@@ -141,98 +144,133 @@ bool LoopbackTransport::visible(NodeId a, NodeId b) const {
   MutexLock lk(mu_);
   auto ia = nodes_.find(a);
   auto ib = nodes_.find(b);
-  return ia != nodes_.end() && !ia->second.closed && ia->second.online &&
-         ib != nodes_.end() && !ib->second.closed && ib->second.online;
+  return ia != nodes_.end() && ia->second.reachable() &&
+         ib != nodes_.end() && ib->second.reachable();
 }
 
 std::vector<NodeId> LoopbackTransport::visible_from(NodeId id) const {
   std::vector<NodeId> out;
   MutexLock lk(mu_);
   auto self = nodes_.find(id);
-  if (self == nodes_.end() || self->second.closed || !self->second.online) {
-    return out;
-  }
+  if (self == nodes_.end() || !self->second.reachable()) return out;
   for (const auto& [nid, node] : nodes_) {
-    if (nid != id && !node.closed && node.online) out.push_back(nid);
+    if (nid != id && node.reachable()) out.push_back(nid);
   }
   return out;
 }
 
 void LoopbackTransport::bind(NodeId id, DeliveryHandler handler) {
-  std::size_t worker;
+  Node* node;
   {
     MutexLock lk(mu_);
     auto it = nodes_.find(id);
-    if (it == nodes_.end() || it->second.closed) return;
-    it->second.handler = std::move(handler);
-    worker = it->second.worker;
+    if (it == nodes_.end() || it->second.is_closed()) return;
+    node = &it->second;
   }
   // Synchronize with any in-flight invocation of the previous handler.
-  fence(*workers_[worker]);
+  set_handler(*node, std::move(handler));
+}
+
+void LoopbackTransport::set_handler(Node& node, DeliveryHandler handler) {
+  Worker& w = *workers_[node.worker];
+  auto write = [&] {
+    // A bind that raced remove_node must not resurrect a handler.
+    if (handler && node.is_closed()) return;
+    node.handler = std::move(handler);
+  };
+  if (std::this_thread::get_id() == w.thread.get_id()) {
+    write();  // inside one of w's callbacks: run_task holds exec_mu
+    return;
+  }
+  MutexLock ex(w.exec_mu);
+  write();
 }
 
 void LoopbackTransport::join_group(NodeId id, GroupId group) {
   MutexLock lk(mu_);
   auto it = nodes_.find(id);
-  if (it != nodes_.end() && !it->second.closed) it->second.groups.insert(group);
+  if (it != nodes_.end() && !it->second.is_closed()) {
+    it->second.groups.insert(group);
+  }
 }
 
 void LoopbackTransport::leave_group(NodeId id, GroupId group) {
   MutexLock lk(mu_);
   auto it = nodes_.find(id);
-  if (it != nodes_.end() && !it->second.closed) it->second.groups.erase(group);
+  if (it != nodes_.end() && !it->second.is_closed()) {
+    it->second.groups.erase(group);
+  }
 }
 
-void LoopbackTransport::deliver_one(NodeId from, NodeId to, const Node& dest,
-                                    Payload payload) {
-  // Caller holds mu_ (for the group walk / stats / rng draws).
-  stats_.bytes_sent += payload.size();
+bool LoopbackTransport::admit(Node& dest, std::size_t bytes, Route& out) {
+  stats_.bytes_sent += bytes;
   if (opts_.loss > 0.0 && rng_.chance(opts_.loss)) {
     ++stats_.drops_loss;
-    return;
+    return false;
   }
   Duration delay = opts_.delivery_delay;
   if (opts_.delivery_jitter > 0) {
     delay += rng_.uniform(0, opts_.delivery_jitter);
   }
+  out = Route{&dest, delay < 0 ? 0 : delay};
+  return true;
+}
+
+void LoopbackTransport::deliver(NodeId from, const Route& route, Time sent,
+                                Payload payload) {
   Task task;
-  task.due = now() + (delay < 0 ? 0 : delay);
-  task.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+  task.due = sent + route.delay;
   task.kind = TaskKind::kDeliver;
-  task.node = to;
+  task.node = route.node;
   task.from = from;
   task.payload = std::move(payload);
-  enqueue(dest.worker, std::move(task));
+  const std::uint64_t key =
+      route.delay > 0 ? next_key_.fetch_add(1, std::memory_order_relaxed)
+                      : kInvalidTimer;
+  enqueue(std::move(task), key);
 }
 
 void LoopbackTransport::send(NodeId from, NodeId to, Payload payload) {
-  TimedMutexLock lk(mu_, lock_wait_us_);
-  ++stats_.unicasts_sent;
-  auto src = nodes_.find(from);
-  auto dst = nodes_.find(to);
-  if (src == nodes_.end() || src->second.closed || !src->second.online ||
-      dst == nodes_.end() || dst->second.closed || !dst->second.online) {
-    ++stats_.drops_dead;
-    stats_.bytes_sent += payload.size();
-    return;
+  Route route;
+  {
+    TimedMutexLock lk(mu_, lock_wait_us_);
+    ++stats_.unicasts_sent;
+    auto src = nodes_.find(from);
+    auto dst = nodes_.find(to);
+    if (src == nodes_.end() || !src->second.reachable() ||
+        dst == nodes_.end() || !dst->second.reachable()) {
+      ++stats_.drops_dead;
+      stats_.bytes_sent += payload.size();
+      return;
+    }
+    if (!admit(dst->second, payload.size(), route)) return;
   }
-  deliver_one(from, to, dst->second, std::move(payload));
+  deliver(from, route, now(), std::move(payload));
 }
 
 void LoopbackTransport::multicast(NodeId from, GroupId group, Payload payload) {
-  TimedMutexLock lk(mu_, lock_wait_us_);
-  ++stats_.multicasts_sent;
-  auto src = nodes_.find(from);
-  if (src == nodes_.end() || src->second.closed || !src->second.online) {
-    ++stats_.drops_dead;
-    return;
+  std::vector<Route> routes;
+  {
+    TimedMutexLock lk(mu_, lock_wait_us_);
+    ++stats_.multicasts_sent;
+    auto src = nodes_.find(from);
+    if (src == nodes_.end() || !src->second.reachable()) {
+      ++stats_.drops_dead;
+      return;
+    }
+    // Ordered map: members are reached in ascending node-id order, so equal
+    // delays keep a deterministic per-multicast fan-out order.
+    for (auto& [nid, node] : nodes_) {
+      if (nid == from || !node.reachable()) continue;
+      if (!node.groups.contains(group)) continue;
+      Route r;
+      if (admit(node, payload.size(), r)) routes.push_back(r);
+    }
   }
-  // Ordered map: members are reached in ascending node-id order, so equal
-  // delays keep a deterministic per-multicast fan-out order.
-  for (const auto& [nid, node] : nodes_) {
-    if (nid == from || node.closed || !node.online) continue;
-    if (!node.groups.contains(group)) continue;
-    deliver_one(from, nid, node, payload);
+  const Time sent = now();
+  for (std::size_t i = 0; i < routes.size(); ++i) {
+    deliver(from, routes[i], sent,
+            i + 1 == routes.size() ? std::move(payload) : payload);
   }
 }
 
@@ -244,66 +282,72 @@ TimerService& LoopbackTransport::timers(NodeId id) {
   return *it->second.timers;
 }
 
-TimerId LoopbackTransport::schedule_timer(NodeId node, std::size_t worker,
-                                          Time when, std::function<void()> fn) {
+TimerId LoopbackTransport::schedule_timer(Node* node, Time when,
+                                          std::function<void()> fn) {
   Task task;
   const Time t = now();
   task.due = when < t ? t : when;
-  task.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   task.kind = TaskKind::kTimer;
   task.node = node;
-  task.timer = next_timer_.fetch_add(1, std::memory_order_relaxed);
   task.fn = std::move(fn);
-  const TimerId id = task.timer;
-  {
-    Worker& w = *workers_[worker];
-    MutexLock lk(w.mu);
-    w.live_timers.insert(id);
-    w.inbox.push_back(std::move(task));
-    std::push_heap(w.inbox.begin(), w.inbox.end(), TaskLater{});
-    if (w.inbox.size() > w.depth_max) w.depth_max = w.inbox.size();
-  }
-  workers_[worker]->cv.notify_all();
+  const TimerId id = next_key_.fetch_add(1, std::memory_order_relaxed);
+  enqueue(std::move(task), id);
   return id;
 }
 
-bool LoopbackTransport::cancel_timer(std::size_t worker, TimerId id) {
+bool LoopbackTransport::cancel_timer(const Node& node, TimerId id) {
   if (id == kInvalidTimer) return false;
-  Worker& w = *workers_[worker];
-  MutexLock lk(w.mu);
-  // The heap entry becomes a tombstone, discarded when it surfaces.
-  const bool hit = w.live_timers.erase(id) > 0;
-  if (hit) w.sched.cancels.fetch_add(1, std::memory_order_relaxed);
-  return hit;
+  Worker& w = *workers_[node.worker];
+  // Declared before the lock so the closure is destroyed after it: its
+  // captures may re-enter the transport.
+  std::function<void()> doomed;
+  {
+    TimedMutexLock lk(w.mu, w.sched.inbox_wait);
+    auto it = w.pending.find(id);
+    if (it == w.pending.end() || it->second.kind != TaskKind::kTimer) {
+      return false;
+    }
+    // The heap slot stays behind as a tombstone, dropped when it surfaces.
+    doomed = std::move(it->second.fn);
+    w.pending.erase(it);
+  }
+  w.sched.cancels.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 void LoopbackTransport::post(NodeId id, std::function<void()> fn) {
-  std::size_t worker;
+  Node* node;
   {
     MutexLock lk(mu_);
     auto it = nodes_.find(id);
-    if (it == nodes_.end() || it->second.closed) return;
-    worker = it->second.worker;
+    if (it == nodes_.end() || it->second.is_closed()) return;
+    node = &it->second;
   }
   Task task;
   task.due = now();
-  task.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   task.kind = TaskKind::kPost;
-  task.node = id;
+  task.node = node;
   task.fn = std::move(fn);
-  enqueue(worker, std::move(task));
+  enqueue(std::move(task));
 }
 
-void LoopbackTransport::enqueue(std::size_t worker, Task task) {
-  Worker& w = *workers_[worker];
+void LoopbackTransport::enqueue(Task task, std::uint64_t key) {
+  Worker& w = *workers_[task.node->worker];
+  task.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   {
-    MutexLock lk(w.mu);
+    TimedMutexLock lk(w.mu, w.sched.inbox_wait);
     if (w.stop) return;
-    w.inbox.push_back(std::move(task));
-    std::push_heap(w.inbox.begin(), w.inbox.end(), TaskLater{});
-    if (w.inbox.size() > w.depth_max) w.depth_max = w.inbox.size();
+    if (key == kInvalidTimer) {
+      w.ready.push_back(std::move(task));
+    } else {
+      w.timers.push_back(Slot{task.due, task.seq, key});
+      std::push_heap(w.timers.begin(), w.timers.end(), SlotLater{});
+      w.pending.emplace(key, std::move(task));
+    }
+    const std::uint64_t depth = w.ready.size() + w.timers.size();
+    if (depth > w.depth_max) w.depth_max = depth;
   }
-  w.cv.notify_all();
+  w.cv.notify_one();  // the worker thread is the only waiter
 }
 
 bool LoopbackTransport::wait_until(const std::function<bool()>& pred,
@@ -342,8 +386,16 @@ Rng LoopbackTransport::fork_rng() {
 }
 
 LoopbackTransport::Stats LoopbackTransport::stats() const {
-  MutexLock lk(mu_);
-  return stats_;
+  Stats out;
+  {
+    MutexLock lk(mu_);
+    out = stats_;
+  }
+  for (const auto& w : workers_) {
+    out.deliveries += w->sched.deliveries.load(std::memory_order_relaxed);
+    out.drops_dead += w->sched.drops_dead.load(std::memory_order_relaxed);
+  }
+  return out;
 }
 
 LoopbackTransport::SchedStats LoopbackTransport::sched_stats() const {
@@ -358,9 +410,10 @@ LoopbackTransport::SchedStats LoopbackTransport::sched_stats() const {
     ws.busy_us = w.sched.busy.load(std::memory_order_relaxed);
     ws.tombstones = w.sched.tombstones.load(std::memory_order_relaxed);
     ws.cancels = w.sched.cancels.load(std::memory_order_relaxed);
+    ws.inbox_wait_us = w.sched.inbox_wait.load(std::memory_order_relaxed);
     {
       MutexLock lk(w.mu);
-      ws.queue_depth = w.inbox.size();
+      ws.queue_depth = w.ready.size() + w.timers.size();
       ws.queue_depth_max = w.depth_max;
     }
     out.workers.push_back(ws);
@@ -370,78 +423,84 @@ LoopbackTransport::SchedStats LoopbackTransport::sched_stats() const {
   return out;
 }
 
-void LoopbackTransport::fence(Worker& w) {
-  if (std::this_thread::get_id() == w.thread.get_id()) return;
-  MutexLock ex(w.exec_mu);
-}
-
 void LoopbackTransport::run_task(Worker& w, Task& task) {
   MutexLock ex(w.exec_mu);
-  DeliveryHandler handler;
-  {
-    MutexLock lk(mu_);
-    auto it = nodes_.find(task.node);
-    if (it == nodes_.end() || it->second.closed) {
-      // Delivery-after-close safety: a payload or timer racing with
-      // remove_node is dropped here, on the strand, never observed by
-      // protocol code.
-      if (task.kind == TaskKind::kDeliver) ++stats_.drops_dead;
-      return;
-    }
-    if (task.kind == TaskKind::kDeliver) {
-      if (!it->second.online) {
-        ++stats_.drops_dead;
-        return;
-      }
-      handler = it->second.handler;  // copy out: handler may rebind
-      ++stats_.deliveries;
-    }
+  const Node& node = *task.node;
+  const bool deliver = task.kind == TaskKind::kDeliver;
+  if (deliver ? !node.reachable() : node.is_closed()) {
+    // Delivery-after-close safety: a payload or timer racing with
+    // remove_node is dropped here, on the strand, never observed by
+    // protocol code.
+    if (deliver) Worker::SchedCells::bump(w.sched.drops_dead);
+    return;
   }
-  switch (task.kind) {
-    case TaskKind::kDeliver:
-      if (handler) handler(task.from, task.payload);
-      break;
-    case TaskKind::kTimer:
-    case TaskKind::kPost:
-      if (task.fn) task.fn();
-      break;
+  if (deliver) {
+    Worker::SchedCells::bump(w.sched.deliveries);
+    // Copy out: the handler may rebind its own node.
+    const DeliveryHandler handler = node.handler;
+    if (handler) handler(task.from, task.payload);
+  } else if (task.fn) {
+    task.fn();
+  }
+}
+
+bool LoopbackTransport::next_task(Worker& w, Task& out, Time& t) {
+  for (;;) {
+    if (w.stop) return false;
+    t = now();
+    const bool timer_due = !w.timers.empty() && w.timers.front().due <= t;
+    if (!w.ready.empty()) {
+      // The FIFO head runs unless a due timer precedes it by (due, seq).
+      const Task& head = w.ready.front();
+      const bool head_first =
+          !timer_due || SlotLater{}(w.timers.front(), Slot{head.due, head.seq});
+      if (head_first) {
+        out = std::move(w.ready.front());
+        w.ready.pop_front();
+        return true;
+      }
+    } else if (!timer_due) {
+      if (w.timers.empty()) {
+        w.cv.wait(w.mu);
+      } else {
+        const Duration wait =
+            std::min(w.timers.front().due - t, kMaxSleepSlice);
+        w.cv.wait_for(w.mu, std::chrono::microseconds(wait));
+      }
+      continue;
+    }
+    const std::uint64_t key = w.timers.front().key;
+    std::pop_heap(w.timers.begin(), w.timers.end(), SlotLater{});
+    w.timers.pop_back();
+    auto it = w.pending.find(key);
+    if (it == w.pending.end()) {
+      Worker::SchedCells::bump(w.sched.tombstones);
+      continue;  // cancelled: discard the tombstone
+    }
+    out = std::move(it->second);
+    w.pending.erase(it);
+    return true;
   }
 }
 
 void LoopbackTransport::worker_loop(std::size_t index) {
   Worker& w = *workers_[index];
-  // Manual lock/unlock rather than RAII: the lock is dropped around every
-  // run_task call and reacquired after; TSA verifies the hold pattern is
-  // consistent at every loop edge.
-  w.mu.lock();
   for (;;) {
-    if (w.stop) break;
-    if (w.inbox.empty()) {
-      w.cv.wait(w.mu);
-      continue;
+    // Scoped per task so a finished task's closure and payload are freed
+    // outside the inbox lock.
+    Task task;
+    Time t = 0;
+    {
+      MutexLock lk(w.mu);
+      if (!next_task(w, task, t)) return;
     }
-    const Time due = w.inbox.front().due;
-    const Time t = now();
-    if (t < due) {
-      const Duration wait = std::min(due - t, kMaxSleepSlice);
-      w.cv.wait_for(w.mu, std::chrono::microseconds(wait));
-      continue;
-    }
-    std::pop_heap(w.inbox.begin(), w.inbox.end(), TaskLater{});
-    Task task = std::move(w.inbox.back());
-    w.inbox.pop_back();
-    if (task.kind == TaskKind::kTimer &&
-        w.live_timers.erase(task.timer) == 0) {
-      Worker::SchedCells::bump(w.sched.tombstones);
-      continue;  // cancelled: discard the tombstone
-    }
-    w.mu.unlock();
     t_task_start = t;  // serves now_coarse() for the callback's trace burst
 #if !defined(TIAMAT_OBS_OFF)
-    // Strand lag: the task was due at `due` and starts now-ish (`t` was
-    // read just before the pop; t >= due on this branch). The run itself is
-    // bracketed with one extra clock read for the busy/utilization series.
-    const auto lag = static_cast<std::uint64_t>(t - due);
+    // Strand lag: the task was due at `due` and starts now-ish (`t` is the
+    // clock read that found it due). The run itself is bracketed with one
+    // extra clock read for the busy/utilization series.
+    const auto lag =
+        static_cast<std::uint64_t>(t > task.due ? t - task.due : 0);
     Worker::SchedCells::bump(w.sched.lag_sum, lag);
     if (lag > w.sched.lag_max.load(std::memory_order_relaxed)) {
       w.sched.lag_max.store(lag, std::memory_order_relaxed);  // single writer
@@ -453,9 +512,7 @@ void LoopbackTransport::worker_loop(std::size_t index) {
                              static_cast<std::uint64_t>(now() - t));
 #endif
     Worker::SchedCells::bump(w.sched.tasks);
-    w.mu.lock();
   }
-  w.mu.unlock();
 }
 
 }  // namespace tiamat::transport

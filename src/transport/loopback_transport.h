@@ -3,7 +3,7 @@
 // The second backend of ROADMAP item 1: the same protocol stack that runs
 // on the deterministic simulator serves real concurrent traffic here. Nodes
 // are multiplexed onto a small pool of worker threads; each node's inbox
-// (deliveries, timers, posted closures) is a time-ordered queue drained by
+// (deliveries, timers, posted closures) is a time-ordered inbox drained by
 // exactly one worker, which is what implements the strand contract from
 // transport/transport.h — per-node callbacks are serialized without any
 // locking inside protocol code, while distinct nodes run genuinely in
@@ -26,11 +26,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <set>
 #include <thread>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "transport/thread_annotations.h"
@@ -54,8 +55,10 @@ struct LoopbackOptions {
 
 class LoopbackTransport final : public Transport {
  public:
-  /// Aggregate traffic counters (snapshot; maintained under the registry
-  /// lock, so concurrent senders never lose updates).
+  /// Aggregate traffic counters (snapshot). Send-side counts are kept under
+  /// the registry lock, so concurrent senders never lose updates; the
+  /// deliveries and dead drops decided on a strand are per-worker relaxed
+  /// atomics that stats() sums in.
   struct Stats {
     std::uint64_t unicasts_sent = 0;
     std::uint64_t multicasts_sent = 0;
@@ -105,6 +108,7 @@ class LoopbackTransport final : public Transport {
     std::uint64_t busy_us = 0;          ///< time spent inside callbacks
     std::uint64_t tombstones = 0;       ///< cancelled timer entries discarded
     std::uint64_t cancels = 0;          ///< cancel_timer hits
+    std::uint64_t inbox_wait_us = 0;    ///< enqueuers blocked on the inbox lock
     std::uint64_t queue_depth = 0;      ///< inbox size right now
     std::uint64_t queue_depth_max = 0;  ///< high-water inbox size
   };
@@ -120,47 +124,82 @@ class LoopbackTransport final : public Transport {
  private:
   enum class TaskKind : std::uint8_t { kDeliver, kTimer, kPost };
 
+  class NodeTimers;
+
+  struct Node {
+    std::size_t worker = 0;
+    /// Written under mu_, read lock-free by run_task on the strand.
+    std::atomic<bool> online{true};
+    std::atomic<bool> closed{false};
+    bool is_closed() const { return closed.load(std::memory_order_relaxed); }
+    bool reachable() const {
+      return !is_closed() && online.load(std::memory_order_relaxed);
+    }
+    /// Read only by run_task (on the strand, under the worker's exec_mu);
+    /// written only through set_handler, which holds that exec_mu or runs
+    /// on the strand's own worker thread. TSA cannot name "the exec_mu of
+    /// workers_[worker]", so this rule is documented rather than annotated.
+    DeliveryHandler handler;
+    std::set<GroupId> groups;  ///< under mu_ (via nodes_)
+    std::unique_ptr<NodeTimers> timers;
+  };
+
   /// One unit of strand work: a delivery, a due timer, or a posted closure.
+  /// `node` points into nodes_, whose entries are never erased.
   struct Task {
     Time due = 0;            ///< transport-time deadline
     std::uint64_t seq = 0;   ///< global enqueue order; FIFO tie-break
     TaskKind kind = TaskKind::kPost;
-    NodeId node = kNoNode;   ///< strand owner (the destination)
+    Node* node = nullptr;    ///< strand owner (the destination)
     NodeId from = kNoNode;   ///< sender, for deliveries
-    TimerId timer = kInvalidTimer;
     Payload payload;
     std::function<void()> fn;
   };
-  struct TaskLater {
-    bool operator()(const Task& a, const Task& b) const {
+  /// A heap entry for work that is not due yet: the task itself waits in
+  /// Worker::pending under `key` (a timer id, or a fresh id for a delayed
+  /// delivery), so the heap sifts 24 bytes and cancel frees the closure at
+  /// once. A slot whose key is no longer pending is a tombstone.
+  struct Slot {
+    Time due = 0;
+    std::uint64_t seq = 0;
+    std::uint64_t key = 0;
+  };
+  struct SlotLater {
+    bool operator()(const Slot& a, const Slot& b) const {
       if (a.due != b.due) return a.due > b.due;
       return a.seq > b.seq;
     }
   };
 
-  /// One worker thread: the merged, time-ordered inbox of every node strand
-  /// assigned to it, plus the execution lock that serializes its callbacks
-  /// against fences (bind/remove_node) and wait_until.
+  /// One worker thread: the inbox of every node strand assigned to it, plus
+  /// the execution lock that serializes its callbacks against handler
+  /// writes (bind/remove_node) and wait_until. The inbox is a FIFO of work
+  /// due now beside a timer heap; the worker runs whichever head is first
+  /// by (due, seq), which is the order one merged heap would give.
   struct Worker {
     Mutex mu;
     CondVar cv;  ///< signaled on enqueue and stop; waits under mu
-    std::vector<Task> inbox TIAMAT_GUARDED_BY(mu);  ///< min-heap by (due, seq)
-    /// Scheduled, not yet fired; a cancelled id's heap entry is a tombstone.
-    std::unordered_set<TimerId> live_timers TIAMAT_GUARDED_BY(mu);
+    std::deque<Task> ready TIAMAT_GUARDED_BY(mu);  ///< due now, FIFO
+    std::vector<Slot> timers TIAMAT_GUARDED_BY(mu);  ///< min-heap by (due, seq)
+    std::unordered_map<std::uint64_t, Task> pending TIAMAT_GUARDED_BY(mu);
     bool stop TIAMAT_GUARDED_BY(mu) = false;
     std::uint64_t depth_max TIAMAT_GUARDED_BY(mu) = 0;  ///< inbox high water
-    /// Scheduler telemetry cells: written by the one worker thread (and
-    /// cancel_timer for cancels), read by sched_stats() from anywhere —
-    /// relaxed atomics, monotone, never torn. Cache-line aligned so the
-    /// per-task bumps never invalidate the line senders hit through `mu`,
-    /// and single-writer cells use load+store (no RMW) via `bump()`.
+    /// Scheduler telemetry cells: written by the one worker thread (and by
+    /// enqueuers for cancels and inbox_wait), read by sched_stats() and
+    /// stats() from anywhere — relaxed atomics, monotone, never torn. Cache-
+    /// line aligned so the per-task bumps never invalidate the line senders
+    /// hit through `mu`, and single-writer cells use load+store (no RMW)
+    /// via `bump()`.
     struct alignas(64) SchedCells {
       std::atomic<std::uint64_t> tasks{0};
       std::atomic<std::uint64_t> lag_sum{0};
       std::atomic<std::uint64_t> lag_max{0};
       std::atomic<std::uint64_t> busy{0};
       std::atomic<std::uint64_t> tombstones{0};
-      std::atomic<std::uint64_t> cancels{0};  ///< multi-writer: RMW only here
+      std::atomic<std::uint64_t> deliveries{0};  ///< Stats::deliveries share
+      std::atomic<std::uint64_t> drops_dead{0};  ///< dropped on the strand
+      std::atomic<std::uint64_t> cancels{0};     ///< multi-writer: RMW
+      std::atomic<std::uint64_t> inbox_wait{0};  ///< multi-writer: RMW
 
       /// Single-writer increment: plain load+store beats `lock xadd` on the
       /// hot path, and relaxed ordering is all a monotone gauge needs.
@@ -170,10 +209,10 @@ class LoopbackTransport final : public Transport {
       }
     };
     SchedCells sched;
-    /// Held for the duration of every callback. Guards no data — it exists
-    /// so fence() and wait_until() can exclude themselves from the strand
-    /// (see the TIAMAT_EXCLUDES contracts on run_task/fence below). Never
-    /// nested with mu; run_task acquires it before the registry mu_.
+    /// Held for the duration of every callback. It guards each node's
+    /// handler (see Node) and lets wait_until() exclude itself from the
+    /// strand. Taken before mu_ or mu (a callback may send or enqueue),
+    /// never after them.
     Mutex exec_mu;
     std::thread thread;
   };
@@ -182,50 +221,56 @@ class LoopbackTransport final : public Transport {
   /// node only quiesces it), so teardown-order cancels stay safe.
   class NodeTimers final : public TimerService {
    public:
-    NodeTimers(LoopbackTransport* t, NodeId node, std::size_t worker)
-        : t_(t), node_(node), worker_(worker) {}
+    NodeTimers(LoopbackTransport* t, Node* node) : t_(t), node_(node) {}
     Time now() const override { return t_->now(); }
     TimerId schedule_at(Time when, std::function<void()> fn) override {
-      return t_->schedule_timer(node_, worker_, when, std::move(fn));
+      return t_->schedule_timer(node_, when, std::move(fn));
     }
-    bool cancel(TimerId id) override { return t_->cancel_timer(worker_, id); }
+    bool cancel(TimerId id) override { return t_->cancel_timer(*node_, id); }
 
    private:
     LoopbackTransport* t_;
-    NodeId node_;
-    std::size_t worker_;
+    Node* node_;
   };
 
-  struct Node {
-    std::size_t worker = 0;
-    bool online = true;
-    bool closed = false;
-    DeliveryHandler handler;
-    std::set<GroupId> groups;
-    std::unique_ptr<NodeTimers> timers;
+  /// Where one accepted send goes: decided under mu_, enqueued after it.
+  struct Route {
+    Node* node = nullptr;
+    Duration delay = 0;
   };
 
-  TimerId schedule_timer(NodeId node, std::size_t worker, Time when,
-                         std::function<void()> fn);
-  bool cancel_timer(std::size_t worker, TimerId id);
-  void enqueue(std::size_t worker, Task task);
-  void deliver_one(NodeId from, NodeId to, const Node& dest, Payload payload)
-      TIAMAT_REQUIRES(mu_);
+  TimerId schedule_timer(Node* node, Time when, std::function<void()> fn);
+  bool cancel_timer(const Node& node, TimerId id);
+  /// Counts one send to a live destination and draws its loss and jitter;
+  /// false when the draw drops it.
+  bool admit(Node& dest, std::size_t bytes, Route& out) TIAMAT_REQUIRES(mu_);
+  void deliver(NodeId from, const Route& route, Time sent, Payload payload)
+      TIAMAT_EXCLUDES(mu_);
+  /// Pushes `task` into its worker's inbox: the FIFO when `key` is
+  /// kInvalidTimer (due now), else the heap, with the task pending under
+  /// `key`.
+  void enqueue(Task task, std::uint64_t key = kInvalidTimer)
+      TIAMAT_EXCLUDES(mu_);
+  /// Writes a node's handler with its strand excluded. Called from one of
+  /// that worker's callbacks, exec_mu is already ours; from anywhere else
+  /// this blocks until no callback of the worker is in flight.
+  void set_handler(Node& node, DeliveryHandler handler) TIAMAT_EXCLUDES(mu_);
+  /// Lifts the next runnable task into `out`, sleeping until one is due;
+  /// `t` is the clock read that found it due. False once the worker stops.
+  bool next_task(Worker& w, Task& out, Time& t) TIAMAT_REQUIRES(w.mu);
   void worker_loop(std::size_t index);
-  /// Runs one task on its strand: exec_mu held across the callback, the
-  /// registry lock only for the closed/online/handler snapshot.
+  /// Runs one task on its strand with exec_mu held across the callback; the
+  /// registry lock is never taken.
   void run_task(Worker& w, Task& task) TIAMAT_EXCLUDES(w.mu, w.exec_mu, mu_);
-  /// Blocks until no callback of `w`'s strand is in flight. No-op when
-  /// already on that strand's worker thread (the caller IS the callback).
-  void fence(Worker& w) TIAMAT_EXCLUDES(w.exec_mu);
 
   const LoopbackOptions opts_;
   const std::chrono::steady_clock::time_point start_;
 
-  /// Registry lock: node table + groups + stats ledger + rng. Lock order
-  /// is exec_mu -> mu_ -> Worker::mu (run_task snapshots the registry under
-  /// the strand's exec_mu; the send path enqueues into a worker inbox while
-  /// holding mu_); no path takes them in the reverse direction.
+  /// Registry lock: node table + groups + send-side stats ledger + rng.
+  /// Lock order is exec_mu -> mu_ and exec_mu -> Worker::mu (a callback
+  /// runs under its worker's exec_mu and may send, post or schedule). mu_
+  /// and Worker::mu are never held together: senders resolve under mu_ and
+  /// push into the inbox after releasing it, and run_task never takes mu_.
   mutable Mutex mu_;
   std::map<NodeId, Node> nodes_ TIAMAT_GUARDED_BY(mu_);
   NodeId next_node_ TIAMAT_GUARDED_BY(mu_) = 1;
@@ -233,7 +278,9 @@ class LoopbackTransport final : public Transport {
   Stats stats_ TIAMAT_GUARDED_BY(mu_);
 
   std::atomic<std::uint64_t> next_seq_{1};
-  std::atomic<TimerId> next_timer_{1};
+  /// Keys heap slots: timer ids and delayed-delivery ids share one space,
+  /// so a key is unique within every worker.
+  std::atomic<std::uint64_t> next_key_{1};
   /// Sender time spent blocked acquiring mu_ (send/multicast contention;
   /// uncontended acquisitions cost no clock read).
   std::atomic<std::uint64_t> lock_wait_us_{0};

@@ -358,8 +358,182 @@ TEST(LoopbackTransport, ManySendersAllDeliveredAcrossWorkers) {
   }
   ASSERT_TRUE(t.wait_until([&] { return *got == kSenders * kEach; },
                            10 * transport::kSecond));
-  EXPECT_EQ(t.stats().deliveries,
-            static_cast<std::uint64_t>(kSenders * kEach));
+  const auto s = t.stats();
+  EXPECT_EQ(s.deliveries, static_cast<std::uint64_t>(kSenders * kEach));
+  // The ledger balances: every unicast is delivered or dropped exactly once,
+  // whether the drop was decided by the sender or on the strand.
+  EXPECT_EQ(s.unicasts_sent, static_cast<std::uint64_t>(kSenders * kEach));
+  EXPECT_EQ(s.deliveries + s.drops_dead + s.drops_loss, s.unicasts_sent);
+}
+
+// Scheduling order the worker inbox must keep. The sim has no equivalent
+// of these: its post() runs synchronously and nothing can hold its one
+// thread, so these pin the loopback backend alone.
+
+/// Holds one worker inside a callback until released, so work queues up
+/// behind it. Release before any wait_until: wait_until needs the worker.
+class WorkerGate {
+ public:
+  WorkerGate(Transport& t, NodeId node) {
+    t.post(node, [s = state_] {
+      s->entered = true;
+      while (!s->open) std::this_thread::yield();
+    });
+    while (!state_->entered) std::this_thread::yield();
+  }
+  void open() { state_->open = true; }
+
+ private:
+  struct State {
+    std::atomic<bool> entered{false};
+    std::atomic<bool> open{false};
+  };
+  std::shared_ptr<State> state_ = std::make_shared<State>();
+};
+
+TEST(LoopbackTransport, PostsAndSendsRunInSubmissionOrder) {
+  transport::LoopbackTransport t;  // zero delivery delay: sends are due now
+  const NodeId a = t.add_node();
+  const NodeId b = t.add_node();
+  auto order = std::make_shared<std::vector<int>>();  // b's strand only
+  t.bind(b, [order](NodeId, const Payload& p) { order->push_back(p[0]); });
+  constexpr int kItems = 200;
+  WorkerGate gate(t, b);
+  for (int i = 0; i < kItems; ++i) {
+    if (i % 3 == 0) {
+      t.post(b, [order, i] { order->push_back(i); });
+    } else {
+      t.send(a, b, Payload{static_cast<std::uint8_t>(i)});
+    }
+  }
+  gate.open();
+  ASSERT_TRUE(t.wait_until(
+      [&] { return order->size() == static_cast<std::size_t>(kItems); }));
+  for (int i = 0; i < kItems; ++i) EXPECT_EQ((*order)[i], i) << "at " << i;
+}
+
+TEST(LoopbackTransport, DueTimerRunsBeforeLaterDelivery) {
+  transport::LoopbackOptions opts;
+  opts.workers = 1;
+  transport::LoopbackTransport t(opts);
+  const NodeId a = t.add_node();
+  const NodeId b = t.add_node();
+  auto order = std::make_shared<std::vector<std::string>>();
+  t.bind(b, [order](NodeId, const Payload&) { order->push_back("deliver"); });
+  WorkerGate gate(t, b);
+  t.timers(b).schedule_after(20 * kMillisecond,
+                             [order] { order->push_back("timer"); });
+  // Enqueued before the timer is due: runs ahead of it.
+  t.post(b, [order] { order->push_back("post"); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  // Enqueued after the timer fell due: the due timer goes first.
+  t.send(a, b, bytes({1}));
+  gate.open();
+  ASSERT_TRUE(t.wait_until([&] { return order->size() == 3; }));
+  EXPECT_EQ(*order, (std::vector<std::string>{"post", "timer", "deliver"}));
+}
+
+TEST(LoopbackTransport, CancelFreesTheClosureAtOnce) {
+  transport::LoopbackTransport t;
+  const NodeId a = t.add_node();
+  auto token = std::make_shared<int>(0);
+  const auto id = t.timers(a).schedule_after(600 * transport::kSecond,
+                                             [token] { ++*token; });
+  EXPECT_EQ(token.use_count(), 2);
+  ASSERT_TRUE(t.timers(a).cancel(id));
+  // Long before the due time, nothing holds the closure any more.
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(*token, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Instance teardown under live traffic. Consumers run chains of remote
+// takes against producers; once takes are flowing, every Instance is
+// destroyed from the test thread while replies, releases and hold timers
+// are still in flight on the workers. ~Instance must fence the strand
+// (remove_node) before it walks its op tables; walking them first races
+// the worker and can crash in the map walk.
+
+struct TakeChain {
+  core::Instance* consumer = nullptr;
+  std::string key;
+  std::shared_ptr<std::atomic<int>> taken;
+};
+
+void take_step(Transport& t, const std::shared_ptr<TakeChain>& c) {
+  c->consumer->inp(tuples::Pattern{"stock", c->key, tuples::any_int()},
+                   [&t, c](std::optional<core::ReadResult> r) {
+                     if (r) ++*c->taken;
+                     t.post(c->consumer->node(), [&t, c] { take_step(t, c); });
+                   });
+}
+
+TEST(TransportTeardown, DestroyInstancesMidRemoteTake) {
+  constexpr int kProducers = 2;
+  constexpr int kConsumers = 3;
+  constexpr int kChainsPerConsumer = 3;
+  // Stays under the producers' lease cap (max_active_ops), so they keep
+  // serving requests while stocked.
+  constexpr int kStock = 64;
+  for (unsigned workers = 1; workers <= 4; ++workers) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " seed=" + std::to_string(seed));
+      transport::LoopbackOptions opts;
+      opts.workers = workers;
+      opts.seed = seed;
+      transport::LoopbackTransport t(opts);
+      transport::Rng rng(seed);
+      core::Config cfg;
+      cfg.lease_caps.default_ttl = transport::seconds(5);
+      cfg.lease_caps.max_ttl = transport::seconds(5);
+      cfg.probe_window = 2 * kMillisecond;
+      std::vector<std::unique_ptr<core::Instance>> insts;
+      for (int i = 0; i < kProducers + kConsumers; ++i) {
+        core::Config c = cfg;
+        c.name = "teardown-" + std::to_string(i);
+        insts.push_back(std::make_unique<core::Instance>(t, c));
+      }
+      auto published = std::make_shared<std::atomic<int>>(0);
+      for (int p = 0; p < kProducers; ++p) {
+        core::Instance* owner = insts[static_cast<std::size_t>(p)].get();
+        t.post(owner->node(), [owner, published] {
+          for (int n = 0; n < kStock; ++n) {
+            owner->out(tuples::Tuple{"stock", std::string("k"),
+                                     std::int64_t{n}});
+          }
+          ++*published;
+        });
+      }
+      ASSERT_TRUE(t.wait_until([&] { return *published == kProducers; }));
+
+      auto taken = std::make_shared<std::atomic<int>>(0);
+      for (int c = 0; c < kConsumers; ++c) {
+        for (int k = 0; k < kChainsPerConsumer; ++k) {
+          auto chain = std::make_shared<TakeChain>();
+          chain->consumer =
+              insts[static_cast<std::size_t>(kProducers + c)].get();
+          chain->key = "k";
+          chain->taken = taken;
+          t.post(chain->consumer->node(), [&t, chain] { take_step(t, chain); });
+        }
+      }
+      // Let takes flow (a seed-dependent amount), then tear everything down
+      // in a seed-dependent order while the chains are still running.
+      const int warmup = 4 + static_cast<int>(rng.uniform(0, 24));
+      ASSERT_TRUE(t.wait_until([&] { return *taken >= warmup; }));
+      while (!insts.empty()) {
+        insts.erase(insts.begin() +
+                    static_cast<std::ptrdiff_t>(rng.index(insts.size())));
+      }
+      // Nothing was taken twice, and the transport still runs strands.
+      EXPECT_LE(taken->load(), kProducers * kStock);
+      const NodeId probe = t.add_node();
+      auto ran = std::make_shared<std::atomic<bool>>(false);
+      t.post(probe, [ran] { *ran = true; });
+      EXPECT_TRUE(t.wait_until([&] { return ran->load(); }));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -619,9 +793,22 @@ TEST(TransportObs, FourInstancesTraceMetricsSchedUnderLoopback) {
   // the worker threads were writing while we read them above.
   const auto sched = t.sched_stats();
   std::uint64_t tasks = 0;
-  for (const auto& w : sched.workers) tasks += w.tasks;
+  std::uint64_t inbox_wait = 0;
+  for (const auto& w : sched.workers) {
+    tasks += w.tasks;
+    inbox_wait += w.inbox_wait_us;
+  }
   EXPECT_GT(tasks, 0u);
   exporter.update();
+  // Inbox contention is exported per worker, and counters only advance.
+  std::uint64_t exported_wait = 0;
+  for (int w = 0; w < 4; ++w) {
+    exported_wait += sched_reg
+                         .counter("transport.sched.inbox_wait_us",
+                                  {{"worker", std::to_string(w)}})
+                         .value();
+  }
+  EXPECT_GE(exported_wait, inbox_wait);
   EXPECT_GT(sched_reg.counter("transport.sched.tasks",
                               {{"worker", "0"}}).value() +
                 sched_reg.counter("transport.sched.tasks",

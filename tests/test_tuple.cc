@@ -152,6 +152,14 @@ struct FieldCase {
   bool expect;
 };
 
+// Names each case by its contents. Without it gtest prints the raw bytes of
+// the struct, which hold heap pointers and padding, so the discovered test
+// names would change from one build to the next.
+void PrintTo(const FieldCase& c, std::ostream* os) {
+  *os << c.field.to_string() << (c.expect ? " matches " : " rejects ")
+      << c.value.to_string();
+}
+
 class FieldMatch : public ::testing::TestWithParam<FieldCase> {};
 
 TEST_P(FieldMatch, Matches) {
