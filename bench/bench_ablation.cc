@@ -12,7 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
-#include "sim/stats.h"
+#include "obs/quantile.h"
 
 namespace {
 
@@ -61,14 +61,14 @@ A1Result run_ordering(bool stability, std::uint64_t seed) {
   w.queue.schedule_after(sim::milliseconds(200), *flap);
 
   const int kOps = 400;
-  sim::Summary latency;
+  obs::QuantileSketch latency;
   std::uint64_t hits = 0;
   int issued = 0;
   std::function<void()> next = [&] {
     if (issued++ >= kOps) return;
     const sim::Time t0 = w.net.now();
     origin.rdp(Pattern{"data", any_int()}, [&, t0](auto r) {
-      latency.add(static_cast<double>(w.net.now() - t0));
+      latency.observe(static_cast<double>(w.net.now() - t0));
       if (r) ++hits;
       w.queue.schedule_after(sim::milliseconds(20), next);
     });
@@ -137,7 +137,7 @@ A2Result run_hold(sim::Duration hold, std::uint64_t seed) {
   }
 
   std::multiset<std::int64_t> taken;
-  sim::Summary latency;
+  obs::QuantileSketch latency;
   // Two competing consumers drain the bag; a consumer gives up only after
   // several consecutive misses (a single miss may just be packet loss).
   for (int c = 0; c < 2; ++c) {
@@ -150,7 +150,7 @@ A2Result run_hold(sim::Duration hold, std::uint64_t seed) {
         if (r) {
           *misses = 0;
           taken.insert(r->tuple[1].as_int());
-          latency.add(static_cast<double>(w.net.now() - t0));
+          latency.observe(static_cast<double>(w.net.now() - t0));
           w.queue.schedule_after(sim::milliseconds(5), *loop);
         } else if (++*misses < 6) {
           w.queue.schedule_after(sim::milliseconds(200), *loop);

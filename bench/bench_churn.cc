@@ -12,8 +12,8 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
+#include "obs/quantile.h"
 #include "sim/mobility.h"
-#include "sim/stats.h"
 
 namespace {
 
@@ -64,7 +64,7 @@ Result run(std::size_t nodes_n, double speed, bool late_arrivals,
   // Workload: each node produces tuples keyed by its own index and blocks
   // taking its ring-partner's — every take requires the partner (or its
   // tuple) to become reachable within the lease.
-  sim::Summary latency;
+  obs::QuantileSketch latency;
   std::uint64_t ok = 0, fail = 0;
   for (std::size_t i = 0; i < nodes_n; ++i) {
     auto* inst = nodes[i].get();
@@ -78,7 +78,7 @@ Result run(std::size_t nodes_n, double speed, bool late_arrivals,
         if (r) {
           ++ok;
           const auto us = static_cast<double>(w.net.now() - t0);
-          latency.add(us);
+          latency.observe(us);
           bench::observe_latency(scenario, us);
         } else {
           ++fail;

@@ -88,7 +88,7 @@ python3 scripts/bench_compare.py BENCH_match.json "${smoke_json}" \
   --soft 'counter:*' --gauge-tol 10 --quiet
 
 # Perf-regression gate: bench_flooding runs entirely in virtual time with
-# fixed seeds (Iterations(1)), so every exported counter and histogram
+# fixed seeds (Iterations(1)), so every exported counter and sketch
 # bucket is deterministic — any drift against the committed baseline is a
 # protocol behaviour change and hard-fails. Wall-clock noise never enters
 # the comparison (timing lives in google-benchmark output, not the export).

@@ -13,10 +13,10 @@
 //       flow arrows for the cross-instance protocol edges.
 //
 //   tiamat-inspect bench BENCH_*.json...
-//       prints a metrics snapshot: counters/gauges, histogram count, mean
-//       and derived p50/p95/p99, quantile-sketch p50/p90/p99/max, and flags
-//       instrument names missing from the checked-in catalog
-//       (src/obs/metric_names.h).
+//       prints a metrics snapshot: counters/gauges, quantile-sketch count,
+//       mean and p50/p90/p99/max, and flags instrument names missing from
+//       the checked-in catalog (src/obs/metric_names.h). Other sections
+//       (the `histograms` of older exports) are skipped.
 //
 //   tiamat-inspect series SERIES_*.json...
 //       renders continuous-telemetry documents (bench `--series` runs, or
@@ -226,22 +226,6 @@ int cmd_bench(const std::vector<std::string>& args) {
                   << num("mean") << " / " << num("p50") << " / " << num("p90")
                   << " / " << num("p99") << " / " << num("max") << "\n";
         check_catalogued(s, unknown);
-      }
-    }
-    if (const Value* hists = metrics->find("histograms")) {
-      std::cout << " histograms (count / mean / p50 / p95 / p99):\n";
-      for (const Value& h : hists->as_array()) {
-        const Value* name = h.find("name");
-        if (name == nullptr) continue;
-        auto num = [&](const char* key) {
-          const Value* v = h.find(key);
-          return v != nullptr && v->is_number() ? v->as_double() : 0.0;
-        };
-        std::cout << "  " << name->as_string() << labels_text(h) << "  "
-                  << static_cast<std::int64_t>(num("count")) << " / "
-                  << num("mean") << " / " << num("p50") << " / " << num("p95")
-                  << " / " << num("p99") << "\n";
-        check_catalogued(h, unknown);
       }
     }
   }

@@ -43,7 +43,7 @@ void WebClient::get(const std::string& url,
             cb(std::nullopt);
           } else {
             ++stats_.completed;
-            stats_.latency.add(
+            stats_.latency.observe(
                 static_cast<double>(instance_.now() - started));
             cb(body);
           }

@@ -23,7 +23,7 @@
 #include <string>
 
 #include "core/instance.h"
-#include "sim/stats.h"
+#include "obs/quantile.h"
 
 namespace tiamat::apps::web {
 
@@ -73,7 +73,7 @@ class WebClient {
     std::uint64_t issued = 0;
     std::uint64_t completed = 0;
     std::uint64_t failed = 0;  ///< lease expired before a response arrived
-    sim::Summary latency;
+    obs::QuantileSketch latency;
   };
 
   explicit WebClient(core::Instance& instance) : instance_(instance) {}

@@ -69,12 +69,12 @@ struct Config {
   net::ResponderCache::Ordering cache_ordering =
       net::ResponderCache::Ordering::kPaperList;
 
-  /// Operation tracing (obs/trace.h). Off by default — a disabled tracer
-  /// costs one predicted branch per instrumentation point. Enable (or
-  /// install a sink via Instance::tracer()) to capture the causal event
-  /// chain of every logical-space operation.
-  bool trace_ops = false;
-  std::size_t trace_capacity = 512;  ///< ring-buffer size per instance
+  /// Operation tracing (obs/trace.h) is off by default — a disabled tracer
+  /// costs one predicted branch per instrumentation point. Install a sink
+  /// via Instance::tracer() to capture the causal event chain of every
+  /// logical-space operation. This sizes the tracer's per-thread rings
+  /// (thread-ring collection on concurrent backends).
+  std::size_t trace_capacity = 512;
 
   /// Health-probe thresholds, evaluated once per telemetry sample tick when
   /// the instance is registered with a TimeSeriesRecorder

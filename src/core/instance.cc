@@ -79,7 +79,6 @@ Instance::Instance(transport::Transport& tx, Config cfg,
   // If the injected policy is the §5 adaptive one, feed it op outcomes.
   adaptive_ = dynamic_cast<AdaptiveLeasePolicy*>(&leases_.policy());
   // One registry (the Monitor's) aggregates every subsystem's telemetry.
-  tracer_.set_enabled(cfg_.trace_ops);
   leases_.bind_metrics(monitor_.registry());
   space_.bind_metrics(monitor_.registry());
   cache_.bind_metrics(monitor_.registry());

@@ -188,9 +188,9 @@ class Instance {
   space::EvalEngine& evals() { return evals_; }
   Monitor& monitor() { return monitor_; }
   /// The instance's metric registry (owned by the Monitor): every counter,
-  /// gauge and histogram this instance emits, snapshot-able to JSON.
+  /// gauge and sketch this instance emits, snapshot-able to JSON.
   obs::Registry& metrics() { return monitor_.registry(); }
-  /// Per-instance operation tracer (ring buffer + optional sink).
+  /// Per-instance operation tracer (enable flag + optional sink).
   obs::Tracer& tracer() { return tracer_; }
 
   /// Always-on bounded tail of recent trace events; dumped by audit traps.
@@ -309,7 +309,8 @@ class Instance {
   /// Records one step of an operation's causal chain; `origin` + `op_id`
   /// identify the operation globally (also across instances, for served
   /// requests). The flight recorder always keeps the tail (bounded ring, a
-  /// handful of stores per event); the full tracer runs only when enabled.
+  /// handful of stores per event); the tracer feeds its sink only when
+  /// enabled.
   void trace(obs::EventKind kind, transport::NodeId origin, std::uint64_t op_id,
              transport::NodeId peer = transport::kNoNode, std::int64_t detail = 0) {
 #if defined(TIAMAT_OBS_OFF)

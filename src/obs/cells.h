@@ -7,8 +7,8 @@
 //
 //   AtomicU64 / AtomicF64   one relaxed cell. Copyable (a relaxed load) so
 //                           instruments that are snapshot-by-value —
-//                           QuantileSketch windows, Histogram::restore —
-//                           keep working.
+//                           QuantileSketch windows and restores — keep
+//                           working.
 //   StripedU64              a Counter's cell: kStripes cache-line-padded
 //                           adders selected by a per-thread hash, so
 //                           concurrent writers never share a line. value()

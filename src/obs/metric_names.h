@@ -3,8 +3,8 @@
 // Why a catalog: instruments are created on first use by *string name*, so
 // a typo'd name ("op.strated") silently creates a fresh, forever-zero
 // instrument instead of failing. `scripts/lint_tiamat.py`'s `metric-name`
-// rule cross-checks every `counter(...)` / `gauge(...)` / `histogram(...)` /
-// `sketch(...)` call in src/ and bench/ against this list, making the name
+// rule cross-checks every `counter(...)` / `gauge(...)` / `sketch(...)`
+// call in src/ and bench/ against this list, making the name
 // set a reviewed, diffable contract. Add the name here in the same PR that
 // introduces the instrument.
 //
@@ -28,12 +28,10 @@ inline constexpr std::string_view kCatalog[] = {
     "match.bucket_probes",
     "match.candidates",
     "match.rejected",
-    "match.rejected_per_lookup",
     "match.scan_fallbacks",
     "waiters.bucket_probes",
     "waiters.candidates",
     "waiters.rejected",
-    "waiters.rejected_per_lookup",
     "waiters.scan_fallbacks",
     // eval engine
     "eval.started",

@@ -4,80 +4,6 @@
 
 namespace tiamat::obs {
 
-// ---- Histogram --------------------------------------------------------------
-
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  std::sort(bounds_.begin(), bounds_.end());
-  bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
-  counts_.assign(bounds_.size() + 1, AtomicU64{});
-}
-
-void Histogram::observe(double v) {
-  auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  counts_[static_cast<std::size_t>(it - bounds_.begin())].add(1);
-  sum_.add(v);
-  count_.add(1);
-}
-
-double Histogram::percentile(double p) const {
-  const std::uint64_t total = count();
-  if (total == 0) return 0.0;
-  const double target = p / 100.0 * static_cast<double>(total);
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const std::uint64_t n = counts_[i].load();
-    if (n == 0) continue;
-    const double lo_edge = i == 0 ? 0.0 : bounds_[i - 1];
-    const double hi_edge = i < bounds_.size() ? bounds_[i]
-                                              // Overflow bucket: no upper
-                                              // bound; report its lower edge.
-                                              : lo_edge;
-    const std::uint64_t next = seen + n;
-    if (static_cast<double>(next) >= target) {
-      const double into =
-          (target - static_cast<double>(seen)) / static_cast<double>(n);
-      return lo_edge + (hi_edge - lo_edge) * std::clamp(into, 0.0, 1.0);
-    }
-    seen = next;
-  }
-  return bounds_.empty() ? 0.0 : bounds_.back();
-}
-
-std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> out;
-  out.reserve(counts_.size());
-  for (const AtomicU64& c : counts_) out.push_back(c.load());
-  return out;
-}
-
-void Histogram::restore(std::vector<std::uint64_t> counts, double sum,
-                        std::uint64_t count) {
-  if (counts.size() == counts_.size()) {
-    for (std::size_t i = 0; i < counts.size(); ++i) counts_[i].store(counts[i]);
-  }
-  sum_.store(sum);
-  count_.store(count);
-}
-
-std::vector<double> Histogram::exponential_bounds(double start, double factor,
-                                                  std::size_t n) {
-  std::vector<double> out;
-  out.reserve(n);
-  double v = start;
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(v);
-    v *= factor;
-  }
-  return out;
-}
-
-const std::vector<double>& Histogram::latency_bounds_us() {
-  // 100us * 2^k, 21 buckets: top bound ~104.8s of virtual time.
-  static const std::vector<double> kBounds =
-      exponential_bounds(100.0, 2.0, 21);
-  return kBounds;
-}
-
 // ---- Registry ---------------------------------------------------------------
 
 namespace {
@@ -134,15 +60,6 @@ Gauge& Registry::gauge(const std::string& name, Labels labels) {
                 [] { return std::make_unique<Gauge>(); });
 }
 
-Histogram& Registry::histogram(const std::string& name, Labels labels,
-                               std::vector<double> bounds) {
-  transport::MutexLock lock(mu_);
-  return lookup(histograms_, name, std::move(labels), [&] {
-    return std::make_unique<Histogram>(
-        bounds.empty() ? Histogram::latency_bounds_us() : std::move(bounds));
-  });
-}
-
 QuantileSketch& Registry::sketch(const std::string& name, Labels labels) {
   transport::MutexLock lock(mu_);
   return lookup(sketches_, name, std::move(labels),
@@ -185,13 +102,11 @@ void Registry::for_each_sketch(
 json::Value Registry::snapshot() const {
   std::vector<std::pair<const Key*, const Counter*>> counter_items;
   std::vector<std::pair<const Key*, const Gauge*>> gauge_items;
-  std::vector<std::pair<const Key*, const Histogram*>> histogram_items;
   std::vector<std::pair<const Key*, const QuantileSketch*>> sketch_items;
   {
     transport::MutexLock lock(mu_);
     counter_items = collect<decltype(counters_), Counter>(counters_);
     gauge_items = collect<decltype(gauges_), Gauge>(gauges_);
-    histogram_items = collect<decltype(histograms_), Histogram>(histograms_);
     sketch_items = collect<decltype(sketches_), QuantileSketch>(sketches_);
   }
   json::Array counters;
@@ -209,25 +124,6 @@ json::Value Registry::snapshot() const {
     e.emplace_back("labels", labels_json(key->second));
     e.emplace_back("value", json::Value(g->value()));
     gauges.emplace_back(std::move(e));
-  }
-  json::Array histograms;
-  for (const auto& [key, h] : histogram_items) {
-    json::Object e;
-    e.emplace_back("name", json::Value(key->first));
-    e.emplace_back("labels", labels_json(key->second));
-    json::Array bounds;
-    for (double b : h->bounds()) bounds.emplace_back(b);
-    e.emplace_back("bounds", json::Value(std::move(bounds)));
-    json::Array counts;
-    for (std::uint64_t c : h->bucket_counts()) counts.emplace_back(c);
-    e.emplace_back("counts", json::Value(std::move(counts)));
-    e.emplace_back("count", json::Value(h->count()));
-    e.emplace_back("sum", json::Value(h->sum()));
-    e.emplace_back("mean", json::Value(h->mean()));
-    e.emplace_back("p50", json::Value(h->percentile(50)));
-    e.emplace_back("p95", json::Value(h->percentile(95)));
-    e.emplace_back("p99", json::Value(h->percentile(99)));
-    histograms.emplace_back(std::move(e));
   }
   json::Array sketches;
   for (const auto& [key, s] : sketch_items) {
@@ -254,7 +150,6 @@ json::Value Registry::snapshot() const {
   json::Object doc;
   doc.emplace_back("counters", json::Value(std::move(counters)));
   doc.emplace_back("gauges", json::Value(std::move(gauges)));
-  doc.emplace_back("histograms", json::Value(std::move(histograms)));
   doc.emplace_back("sketches", json::Value(std::move(sketches)));
   return json::Value(std::move(doc));
 }
@@ -265,8 +160,7 @@ std::string Registry::snapshot_json(int indent) const {
 
 std::size_t Registry::size() const {
   transport::MutexLock lock(mu_);
-  return counters_.size() + gauges_.size() + histograms_.size() +
-         sketches_.size();
+  return counters_.size() + gauges_.size() + sketches_.size();
 }
 
 bool Registry::load(const json::Value& doc) {
@@ -300,32 +194,6 @@ bool Registry::load(const json::Value& doc) {
     const json::Value* v = e.find("value");
     if (v == nullptr || !v->is_number()) return false;
     gauge(name, std::move(l)).set(v->as_double());
-    return true;
-  });
-  ok = ok && each("histograms", [&](const json::Value& e,
-                                    const std::string& name, Labels l) {
-    const json::Value* bounds = e.find("bounds");
-    const json::Value* counts = e.find("counts");
-    const json::Value* count = e.find("count");
-    const json::Value* sum = e.find("sum");
-    if (bounds == nullptr || !bounds->is_array() || counts == nullptr ||
-        !counts->is_array() || count == nullptr || !count->is_number() ||
-        sum == nullptr || !sum->is_number()) {
-      return false;
-    }
-    std::vector<double> b;
-    for (const json::Value& x : bounds->as_array()) {
-      if (!x.is_number()) return false;
-      b.push_back(x.as_double());
-    }
-    std::vector<std::uint64_t> c;
-    for (const json::Value& x : counts->as_array()) {
-      if (!x.is_number()) return false;
-      c.push_back(static_cast<std::uint64_t>(x.as_int()));
-    }
-    histogram(name, std::move(l), std::move(b))
-        .restore(std::move(c), sum->as_double(),
-                 static_cast<std::uint64_t>(count->as_int()));
     return true;
   });
   // Sketches are optional so pre-sketch snapshots still load (the schema

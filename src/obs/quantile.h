@@ -1,12 +1,13 @@
 // Log-bucketed quantile sketch (HDR-histogram style).
 //
 // Latency distributions in this codebase span five orders of magnitude
-// (sub-millisecond local hits to multi-second churn waits). The fixed-bucket
-// obs::Histogram needs its bounds chosen up front and interpolates inside
-// whatever bucket the tail lands in; this sketch instead derives its buckets
-// from the value itself — a power-of-two octave split into 2^kSubBits
-// sub-buckets — so every value is recorded with bounded relative error
-// (<= 2^-(kSubBits+1), ~1.6% at kSubBits = 5) with no configuration.
+// (sub-millisecond local hits to multi-second churn waits), so no set of
+// fixed bucket bounds chosen up front fits them all. This sketch derives
+// its buckets from the value itself — a power-of-two octave split into
+// 2^kSubBits sub-buckets — so every value is recorded with bounded relative
+// error (<= 2^-(kSubBits+1), ~1.6% at kSubBits = 5) with no configuration.
+// It is the codebase's one distribution type: registry latency metrics and
+// the benches' local per-scenario means alike.
 //
 // Properties the telemetry layer depends on:
 //   - Deterministic. Bucket indices are pure integer bit-math; quantile

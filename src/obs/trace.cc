@@ -171,12 +171,6 @@ void Tracer::record(const TraceEvent& e) {
 }
 
 void Tracer::commit(const TraceEvent& e) {
-  if (ring_.size() < capacity_) {
-    ring_.push_back(e);
-  } else {
-    ring_[next_] = e;
-  }
-  next_ = (next_ + 1) % capacity_;
   ++recorded_;
   if (sink_) sink_->on_event(e);
 }
@@ -230,16 +224,6 @@ std::uint64_t Tracer::ring_dropped() const {
   std::uint64_t total = 0;
   for (const auto& ring : rings_) total += ring->dropped();
   return total;
-}
-
-std::vector<TraceEvent> Tracer::recent() const {
-  if (ring_.size() < capacity_) return ring_;
-  std::vector<TraceEvent> out;
-  out.reserve(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(next_ + i) % capacity_]);
-  }
-  return out;
 }
 
 }  // namespace tiamat::obs

@@ -8,10 +8,11 @@
 //   response -> exactly one accept (+ a reinsert at every other peer that
 //   tentatively removed a match) -> confirm / expiry.
 //
-// The Tracer is a per-instance fixed-capacity ring buffer with a pluggable
-// sink. Tracing is off by default; a disabled tracer costs one predictable
-// branch per instrumentation point (the acceptance bar for the null path is
-// <5% overhead on the hot benches).
+// The Tracer is a per-instance event feed into a pluggable sink; the bounded
+// tail of recent events is the always-on FlightRecorder
+// (obs/flight_recorder.h). Tracing is off by default; a disabled tracer
+// costs one predictable branch per instrumentation point (the acceptance
+// bar for the null path is <5% overhead on the hot benches).
 
 #pragma once
 
@@ -119,22 +120,21 @@ class JsonlSink : public TraceSink {
 
 class TraceRing;
 
-/// Per-instance recorder: bounded ring of recent events plus an optional
-/// sink fed with every event. Disabled (the default) it records nothing.
+/// Per-instance recorder: feeds every event to an optional sink. Disabled
+/// (the default) it records nothing. It keeps no history of its own — the
+/// instance's FlightRecorder holds the bounded tail.
 ///
 /// Two collection modes (DESIGN.md §13):
 ///   - Direct (the default, and the only mode the sim backend ever uses):
-///     record() appends to the ring and the sink inline on the calling
-///     strand. Single-threaded behavior is exactly the pre-ring Tracer's,
-///     byte for byte.
+///     record() hands the event to the sink inline on the calling strand.
 ///   - Thread rings (set_thread_rings(true), for multi-threaded transport
 ///     backends): each recording thread registers lazily and gets a
 ///     private fixed-capacity SPSC ring (obs/trace_ring.h); record() is a
 ///     lock-free push stamped with a tracer-wide sequence number, and the
-///     shared ring/sink are only touched by drain(), which merges every
-///     thread ring in (at, seq) order. The sink therefore sees events from
-///     exactly one thread at a time — that is the fix for the shared-sink
-///     race under LoopbackTransport.
+///     sink is only touched by drain(), which merges every thread ring in
+///     (at, seq) order. The sink therefore sees events from exactly one
+///     thread at a time — that is the fix for the shared-sink race under
+///     LoopbackTransport.
 ///
 /// Mode and enablement are configuration: flip them before concurrent
 /// recording starts (thread creation / strand hand-off publishes them).
@@ -142,6 +142,7 @@ class TraceRing;
 /// a use-after-free in either mode, same as any other member.
 class Tracer {
  public:
+  /// `capacity` sizes each per-thread ring (thread-ring mode only).
   explicit Tracer(transport::NodeId node, std::size_t capacity = 512);
   ~Tracer();
 
@@ -151,7 +152,7 @@ class Tracer {
   bool enabled() const { return enabled_; }
   void set_enabled(bool on) { enabled_ = on; }
 
-  /// Installing a sink implies enabling; a null sink keeps the ring only.
+  /// Installing a sink implies enabling; a null sink leaves the flag as is.
   void set_sink(std::shared_ptr<TraceSink> sink) {
     sink_ = std::move(sink);
     if (sink_) enabled_ = true;
@@ -168,10 +169,10 @@ class Tracer {
   /// front-loads the one-time lock acquisition.
   void register_current_thread() TIAMAT_EXCLUDES(mu_);
 
-  /// Merges every thread ring into the legacy ring + sink in (at, seq)
-  /// order and returns the number of events moved. Safe to call while
-  /// producers are still recording (each ring is SPSC; the caller is the
-  /// one consumer) — concurrent pushes simply wait for the next drain.
+  /// Merges every thread ring into the sink in (at, seq) order and returns
+  /// the number of events moved. Safe to call while producers are still
+  /// recording (each ring is SPSC; the caller is the one consumer) —
+  /// concurrent pushes simply wait for the next drain.
   std::size_t drain() TIAMAT_EXCLUDES(mu_);
 
   void record(transport::Time at, transport::NodeId origin, std::uint64_t op_id,
@@ -182,11 +183,8 @@ class Tracer {
   /// including `node`); shared path with the always-on FlightRecorder.
   void record(const TraceEvent& e);
 
-  /// Ring contents, oldest first.
-  std::vector<TraceEvent> recent() const;
-
+  /// Events committed (handed to the sink, if any) since construction.
   std::uint64_t recorded() const { return recorded_; }
-  std::size_t capacity() const { return capacity_; }
 
   /// Thread-ring accounting. Drops are rejected at push time and counted
   /// separately, so the conservation law the chaos oracle checks is
@@ -198,16 +196,14 @@ class Tracer {
   std::uint64_t ring_drained() const { return ring_drained_.load(); }
 
  private:
-  void commit(const TraceEvent& e);  ///< legacy ring + sink append
+  void commit(const TraceEvent& e);  ///< count + sink append
   TraceRing* thread_ring() TIAMAT_EXCLUDES(mu_);
 
   transport::NodeId node_;
-  std::size_t capacity_;
+  std::size_t capacity_;          ///< per-thread ring size
   bool enabled_ = false;
   bool thread_rings_ = false;     ///< collection mode (config-time)
   std::shared_ptr<TraceSink> sink_;
-  std::vector<TraceEvent> ring_;  ///< grows to capacity_, then wraps
-  std::size_t next_ = 0;          ///< ring insertion cursor
   std::uint64_t recorded_ = 0;    ///< total events ever recorded
   AtomicU64 seq_;                 ///< record-order stamp (merge tiebreak)
   AtomicU64 ring_drained_;        ///< events moved out of thread rings

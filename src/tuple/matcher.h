@@ -16,7 +16,8 @@
 //     and WaiterIndex. Raw counters are always maintained (cheap integer
 //     adds); bind_metrics() additionally mirrors them into an obs::Registry
 //     so BENCH_*.json and instance snapshots expose bucket-probe vs
-//     full-scan-fallback ratios and a candidate-rejection histogram.
+//     full-scan-fallback ratios and rejections per lookup
+//     (rejected / (bucket_probes + scan_fallbacks)).
 
 #pragma once
 
@@ -108,10 +109,6 @@ class MatchMetrics {
     scans_ = &r.counter(prefix + ".scan_fallbacks");
     candidates_ = &r.counter(prefix + ".candidates");
     rejected_ = &r.counter(prefix + ".rejected");
-    // Rejections per lookup: 0..64 in powers of two, overflow above.
-    rejected_per_op_ = &r.histogram(
-        prefix + ".rejected_per_lookup", {},
-        std::vector<double>{0, 1, 2, 4, 8, 16, 32, 64});
   }
 
   bool bound() const { return probes_ != nullptr; }
@@ -125,9 +122,6 @@ class MatchMetrics {
   void on_lookup_done(std::uint64_t examined, std::uint64_t rejected) const {
     if (candidates_ != nullptr) candidates_->add(examined);
     if (rejected_ != nullptr) rejected_->add(rejected);
-    if (rejected_per_op_ != nullptr) {
-      rejected_per_op_->observe(static_cast<double>(rejected));
-    }
   }
 
  private:
@@ -135,7 +129,6 @@ class MatchMetrics {
   obs::Counter* scans_ = nullptr;
   obs::Counter* candidates_ = nullptr;
   obs::Counter* rejected_ = nullptr;
-  obs::Histogram* rejected_per_op_ = nullptr;
 };
 
 }  // namespace tiamat::tuples

@@ -1,5 +1,5 @@
 // Unit tests for the simulator substrate: event queue, RNG, network,
-// mobility, topology helpers and statistics accumulators.
+// mobility and topology helpers.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include "sim/mobility.h"
 #include "sim/network.h"
 #include "sim/random.h"
-#include "sim/stats.h"
 #include "sim/topology.h"
 #include "tests/test_util.h"
 
@@ -511,43 +510,6 @@ TEST(ChurnTest, TogglesNodesButKeepsMinimumOnline) {
   EXPECT_GT(churn.transitions(), 0u);
   w.run_all();
 }
-
-// ---------------- Stats ----------------
-
-TEST(Stats, SummaryBasics) {
-  Summary s;
-  for (double v : {1.0, 2.0, 3.0, 4.0, 5.0}) s.add(v);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-  EXPECT_DOUBLE_EQ(s.median(), 3.0);
-  EXPECT_NEAR(s.stddev(), 1.5811, 1e-3);
-}
-
-TEST(Stats, SummaryEmptySafe) {
-  Summary s;
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.median(), 0.0);
-  EXPECT_EQ(s.stddev(), 0.0);
-}
-
-TEST(Stats, PercentileInterpolates) {
-  Summary s;
-  for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_NEAR(s.percentile(95), 95.05, 0.1);
-  EXPECT_DOUBLE_EQ(s.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 100.0);
-}
-
-TEST(Stats, RateCounter) {
-  RateCounter r;
-  r.success();
-  r.success();
-  r.failure();
-  EXPECT_EQ(r.total(), 3u);
-  EXPECT_NEAR(r.rate(), 2.0 / 3.0, 1e-9);
-}
-
 
 // ---------------- Determinism regressions ----------------
 
