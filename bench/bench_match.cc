@@ -2,9 +2,11 @@
 // patterns, hash-bucketed tuple storage, and the keyed waiter index. The
 // headline claim this bench pins down: keyed lookups probe one bucket and
 // therefore do NOT scale with space size, while unkeyed lookups fall back
-// to an O(arity-shard) scan. `--json` exports the engine's probe/scan/
-// rejection accounting per scenario so the ratio stays diffable PR-over-PR
-// (see BENCH_match.json at the repo root and EXPERIMENTS.md).
+// to an id-ordered walk of the store that examines every tuple of the
+// pattern's arity (and steps over the others). `--json` exports the
+// engine's probe/scan/rejection accounting per scenario so the ratio stays
+// diffable PR-over-PR (see BENCH_match.json at the repo root and
+// EXPERIMENTS.md).
 
 #include <benchmark/benchmark.h>
 
@@ -94,6 +96,28 @@ void BM_UnkeyedFindFirst(benchmark::State& state) {
 }
 BENCHMARK(BM_UnkeyedFindFirst)->Arg(100)->Arg(1000)->Arg(10000);
 
+void BM_UnkeyedFindFirstMixedArity(benchmark::State& state) {
+  // As BM_UnkeyedFindFirst, but every arity-2 tuple has an arity-3
+  // neighbour in id order: the walk steps over N tuples it does not count
+  // as candidates, the price of scanning the id-ordered store.
+  const auto n = state.range(0);
+  TupleIndex idx;
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::string key = "k" + std::to_string(i % kKeys);
+    idx.insert(static_cast<TupleId>(2 * i + 1), Tuple{key, i});
+    idx.insert(static_cast<TupleId>(2 * i + 2), Tuple{key, i, i});
+  }
+  CompiledPattern p(Pattern{any_string(), n - 1});
+  idx.reset_match_stats();
+  for (auto _ : state) {
+    auto id = idx.find_first(p);
+    benchmark::DoNotOptimize(id);
+  }
+  state.SetItemsProcessed(state.iterations());
+  export_stats("unkeyed_find_first_mixed_arity", n, idx.match_stats());
+}
+BENCHMARK(BM_UnkeyedFindFirstMixedArity)->Arg(100)->Arg(1000)->Arg(10000);
+
 void BM_KeyedFindMatches(benchmark::State& state) {
   const auto n = state.range(0);
   TupleIndex idx = populated_index(n);
@@ -135,6 +159,25 @@ void BM_InsertErase(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_InsertErase);
+
+void BM_InsertEraseResident(benchmark::State& state) {
+  // N tuples stay resident while each iteration inserts the next id and
+  // takes one from the middle of the id order, as a busy space does: the
+  // erase cost a take pays as the space grows.
+  const auto n = state.range(0);
+  TupleIndex idx = populated_index(n);
+  auto next = static_cast<TupleId>(n + 1);
+  auto victim = static_cast<TupleId>(n / 2 + 1);
+  for (auto _ : state) {
+    idx.insert(next, Tuple{"k" + std::to_string(next % kKeys),
+                           static_cast<std::int64_t>(next)});
+    ++next;
+    auto t = idx.erase(victim++);
+    benchmark::DoNotOptimize(t);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_InsertEraseResident)->Arg(4096)->Arg(65536);
 
 // ---- Pattern compilation ---------------------------------------------------
 

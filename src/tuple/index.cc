@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #if TIAMAT_AUDIT_ENABLED
-#include <functional>
 #include <sstream>
 #include <string>
 #endif
@@ -12,62 +11,60 @@ namespace tiamat::tuples {
 
 namespace {
 
-/// Inserts `id` keeping `v` sorted ascending. Ids are allocated
-/// monotonically, so the common case is a pure push_back; out-of-order
-/// inserts (tentative releases putting an old id back) binary-search.
-void sorted_insert(std::vector<TupleId>& v, TupleId id) {
-  if (v.empty() || v.back() < id) {
-    v.push_back(id);
+constexpr auto kIdLess = [](const auto& e, TupleId id) { return e.id < id; };
+
+/// Inserts `e` keeping `v` sorted by id. Ids are allocated monotonically,
+/// so the common case is a pure push_back; out-of-order inserts (tentative
+/// releases putting an old id back) binary-search.
+template <typename Entry>
+void sorted_insert(std::vector<Entry>& v, const Entry& e) {
+  if (v.empty() || v.back().id < e.id) {
+    v.push_back(e);
     return;
   }
-  v.insert(std::lower_bound(v.begin(), v.end(), id), id);
+  v.insert(std::lower_bound(v.begin(), v.end(), e.id, kIdLess), e);
 }
 
-void sorted_erase(std::vector<TupleId>& v, TupleId id) {
-  auto it = std::lower_bound(v.begin(), v.end(), id);
-  if (it != v.end() && *it == id) v.erase(it);
+/// Position of `id` in `v`, or v.end().
+template <typename Bucket>
+auto sorted_find(Bucket& v, TupleId id) {
+  auto it = std::lower_bound(v.begin(), v.end(), id, kIdLess);
+  return it != v.end() && it->id == id ? it : v.end();
 }
-
-#if TIAMAT_AUDIT_ENABLED
-bool sorted_contains(const std::vector<TupleId>& v, TupleId id) {
-  return std::binary_search(v.begin(), v.end(), id);
-}
-
-bool strictly_ascending(const std::vector<TupleId>& v) {
-  return std::adjacent_find(v.begin(), v.end(),
-                            std::greater_equal<TupleId>()) == v.end();
-}
-#endif
 
 }  // namespace
 
 void TupleIndex::insert(TupleId id, Tuple t) {
-  footprint_ += t.footprint();
-  Shard& shard = shards_[t.arity()];
-  sorted_insert(shard.ids, id);
-  if (t.arity() > 0) sorted_insert(shard.buckets[t[0]], id);
-  by_id_.emplace(id, std::move(t));
+  const Tuple& stored = by_id_.emplace(id, std::move(t)).first->second;
+  footprint_ += stored.footprint();
+  Shard& shard = shards_[stored.arity()];
+  ++shard.size;
+  if (stored.arity() > 0) {
+    sorted_insert(shard.buckets[stored[0]],
+                  Entry{id, &stored, type_signature(stored)});
+  }
 }
 
 std::optional<Tuple> TupleIndex::erase(TupleId id) {
   auto it = by_id_.find(id);
   if (it == by_id_.end()) return std::nullopt;
-  Tuple t = std::move(it->second);
-  by_id_.erase(it);
-  footprint_ -= t.footprint();
-  auto sit = shards_.find(t.arity());
+  const Tuple& stored = it->second;
+  footprint_ -= stored.footprint();
+  auto sit = shards_.find(stored.arity());
   if (sit != shards_.end()) {
     Shard& shard = sit->second;
-    sorted_erase(shard.ids, id);
-    if (t.arity() > 0) {
-      auto bit = shard.buckets.find(t[0]);
+    if (stored.arity() > 0) {
+      auto bit = shard.buckets.find(stored[0]);
       if (bit != shard.buckets.end()) {
-        sorted_erase(bit->second, id);
+        auto eit = sorted_find(bit->second, id);
+        if (eit != bit->second.end()) bit->second.erase(eit);
         if (bit->second.empty()) shard.buckets.erase(bit);
       }
     }
-    if (shard.ids.empty()) shards_.erase(sit);
+    if (--shard.size == 0) shards_.erase(sit);
   }
+  Tuple t = std::move(it->second);
+  by_id_.erase(it);
   return t;
 }
 
@@ -144,29 +141,26 @@ void TupleIndex::audit_check(const char* checkpoint) const {
     audit::fail("TupleIndex", checkpoint, invariant, os.str());
   };
 
-  // Ordering first: the membership checks below binary-search the id
-  // vectors, so an unsorted list must trap as itself rather than as a
-  // bogus membership miss.
+  // Ordering first: the membership checks below binary-search the buckets,
+  // so an unsorted bucket must trap as itself rather than as a bogus
+  // membership miss.
   for (const auto& [arity, shard] : shards_) {
-    if (shard.ids.empty()) {
+    if (shard.size == 0) {
       std::ostringstream os;
       os << "empty shard for arity " << arity << " not pruned";
       trap("shard-pruning", os.str());
       return;
     }
-    if (!strictly_ascending(shard.ids)) {
-      std::ostringstream os;
-      os << "arity " << arity << " shard id list not strictly ascending";
-      trap("id-order", os.str());
-      return;
-    }
-    for (const auto& [key, ids] : shard.buckets) {
-      if (ids.empty()) {
+    for (const auto& [key, entries] : shard.buckets) {
+      if (entries.empty()) {
         trap("bucket-pruning",
              "empty bucket key=" + key.to_string() + " not pruned");
         return;
       }
-      if (!strictly_ascending(ids)) {
+      if (std::adjacent_find(entries.begin(), entries.end(),
+                             [](const Entry& a, const Entry& b) {
+                               return a.id >= b.id;
+                             }) != entries.end()) {
         trap("id-order", "bucket key=" + key.to_string() +
                              " id list not strictly ascending");
         return;
@@ -174,24 +168,23 @@ void TupleIndex::audit_check(const char* checkpoint) const {
     }
   }
 
-  // Forward direction: every stored tuple is reachable through its shard.
+  // Forward direction: every stored tuple has an arity shard and sits in
+  // the bucket of its first field.
   std::size_t footprint_sum = 0;
+  std::map<std::size_t, std::size_t> per_arity;
   for (const auto& [id, t] : by_id_) {
     footprint_sum += t.footprint();
+    ++per_arity[t.arity()];
     auto sit = shards_.find(t.arity());
     if (sit == shards_.end()) {
       trap("shard-membership", describe(id, t) + " has no arity shard");
       return;
     }
-    const Shard& shard = sit->second;
-    if (!sorted_contains(shard.ids, id)) {
-      trap("shard-membership",
-           describe(id, t) + " missing from its shard id list");
-      return;
-    }
     if (t.arity() > 0) {
+      const Shard& shard = sit->second;
       auto bit = shard.buckets.find(t[0]);
-      if (bit == shard.buckets.end() || !sorted_contains(bit->second, id)) {
+      if (bit == shard.buckets.end() ||
+          sorted_find(bit->second, id) == bit->second.end()) {
         trap("bucket-membership",
              describe(id, t) + " missing from bucket key=" +
                  t[0].to_string());
@@ -213,50 +206,52 @@ void TupleIndex::audit_check(const char* checkpoint) const {
     return;
   }
 
-  // Reverse direction: every shard/bucket id is a live tuple in the right
-  // place and the membership counts balance — together with the forward
-  // pass this proves "exactly one bucket" (no duplicates, no strays).
-  std::size_t shard_ids_total = 0;
+  // Reverse direction: every bucket entry is a live tuple in the right
+  // place, pointing at its own by_id_ node with that tuple's signature, and
+  // the counts balance — together with the forward pass this proves
+  // "exactly one bucket" (no duplicates, no strays), and the shard counts
+  // that bound the unkeyed walk are exact.
   std::size_t bucket_ids_total = 0;
-  std::size_t keyed_tuples = 0;
-  for (const auto& [id, t] : by_id_) {
-    if (t.arity() > 0) ++keyed_tuples;
-  }
   for (const auto& [arity, shard] : shards_) {
-    shard_ids_total += shard.ids.size();
-    for (TupleId id : shard.ids) {
-      const Tuple* t = get(id);
-      if (t == nullptr || t->arity() != arity) {
-        std::ostringstream os;
-        os << "shard arity " << arity << " lists id " << id
-           << (t == nullptr ? " which is not stored"
-                            : " whose tuple has a different arity");
-        trap("shard-membership", os.str());
-        return;
-      }
+    auto nit = per_arity.find(arity);
+    const std::size_t stored = nit == per_arity.end() ? 0 : nit->second;
+    if (shard.size != stored) {
+      std::ostringstream os;
+      os << "arity " << arity << " shard counts " << shard.size << " for "
+         << stored << " stored tuples";
+      trap("membership-count", os.str());
+      return;
     }
-    for (const auto& [key, ids] : shard.buckets) {
-      bucket_ids_total += ids.size();
-      for (TupleId id : ids) {
-        const Tuple* t = get(id);
-        if (t == nullptr || t->arity() == 0 || !((*t)[0] == key)) {
+    for (const auto& [key, entries] : shard.buckets) {
+      bucket_ids_total += entries.size();
+      for (const Entry& e : entries) {
+        const Tuple* t = get(e.id);
+        if (t == nullptr || t->arity() != arity || !((*t)[0] == key)) {
           std::ostringstream os;
-          os << "bucket key=" << key.to_string() << " lists id " << id
+          os << "bucket key=" << key.to_string() << " lists id " << e.id
              << (t == nullptr ? " which is not stored"
-                              : " whose first field differs");
+                              : " whose arity or first field differs");
           trap("bucket-membership", os.str());
+          return;
+        }
+        if (e.tuple != t) {
+          trap("entry-address",
+               describe(e.id, *t) + " bucket entry points outside its node");
+          return;
+        }
+        if (e.types != type_signature(*t)) {
+          std::ostringstream os;
+          os << describe(e.id, *t) << " bucket entry types " << std::hex
+             << e.types << " != signature " << type_signature(*t);
+          trap("entry-signature", os.str());
           return;
         }
       }
     }
   }
-  if (shard_ids_total != by_id_.size()) {
-    std::ostringstream os;
-    os << "shard id lists hold " << shard_ids_total << " ids for "
-       << by_id_.size() << " stored tuples";
-    trap("membership-count", os.str());
-    return;
-  }
+  auto nit = per_arity.find(0);
+  const std::size_t keyed_tuples =
+      by_id_.size() - (nit == per_arity.end() ? 0 : nit->second);
   if (bucket_ids_total != keyed_tuples) {
     std::ostringstream os;
     os << "buckets hold " << bucket_ids_total << " ids for " << keyed_tuples
@@ -268,10 +263,15 @@ void TupleIndex::audit_check(const char* checkpoint) const {
 void TupleIndex::audit_corrupt_bucket_for_test(TupleId id) {
   const Tuple* t = get(id);
   if (t == nullptr || t->arity() == 0) return;
-  auto sit = shards_.find(t->arity());
-  if (sit == shards_.end()) return;
-  auto bit = sit->second.buckets.find((*t)[0]);
-  if (bit != sit->second.buckets.end()) sorted_erase(bit->second, id);
+  auto& bucket = shards_.at(t->arity()).buckets.at((*t)[0]);
+  bucket.erase(sorted_find(bucket, id));
+}
+
+void TupleIndex::audit_corrupt_signature_for_test(TupleId id) {
+  const Tuple* t = get(id);
+  if (t == nullptr || t->arity() == 0) return;
+  auto& bucket = shards_.at(t->arity()).buckets.at((*t)[0]);
+  sorted_find(bucket, id)->types ^= 1;
 }
 
 void TupleIndex::audit_differential(const CompiledPattern& p,

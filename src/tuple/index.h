@@ -3,13 +3,16 @@
 // Spaces index tuples by (arity, first field): Linda programs almost always
 // key tuples with a leading string/int tag ("req", "resp", "task", ...), so
 // a keyed pattern probes one hash bucket instead of scanning the space.
-// Unkeyed patterns fall back to walking the per-arity id list.
+// Each bucket entry carries the tuple's address and packed field types, so
+// a candidate check is one contiguous read rather than a lookup by id.
+// Unkeyed patterns fall back to walking the id-ordered store, skipping
+// tuples of other arities.
 //
 // Determinism contract (select_match and the seed tests depend on it):
 // every lookup visits candidates in ascending id order — keyed probes walk
-// a sorted-vector bucket, unkeyed scans walk the arity shard's sorted id
-// list — so two runs with the same seed always see the same candidate
-// sequence even though the buckets themselves live in unordered_maps.
+// a sorted-vector bucket, unkeyed scans walk the id-ordered map — so two
+// runs with the same seed always see the same candidate sequence even
+// though the buckets themselves live in unordered_maps.
 
 #pragma once
 
@@ -33,6 +36,14 @@ inline constexpr TupleId kNoTuple = 0;
 
 class TupleIndex {
  public:
+  TupleIndex() = default;
+  // Bucket entries point into by_id_'s nodes: a copy would point into the
+  // source. Moves transfer the nodes, so the addresses stay valid.
+  TupleIndex(const TupleIndex&) = delete;
+  TupleIndex& operator=(const TupleIndex&) = delete;
+  TupleIndex(TupleIndex&&) = default;
+  TupleIndex& operator=(TupleIndex&&) = default;
+
   /// Stores `t` under caller-supplied id (ids must be unique and non-zero).
   void insert(TupleId id, Tuple t);
 
@@ -73,9 +84,9 @@ class TupleIndex {
   std::size_t total_footprint() const { return footprint_; }
 
   /// Approximate resident bytes: stored tuple footprints plus a fixed
-  /// per-entry estimate of index overhead (by_id_ map node, shard id slot,
-  /// bucket slot). Deliberately a deterministic formula over entry counts —
-  /// the telemetry layer samples it into gauges, so it must not depend on
+  /// per-entry estimate of index overhead (by_id_ map node, bucket entry).
+  /// Deliberately a deterministic formula over entry counts — the
+  /// telemetry layer samples it into gauges, so it must not depend on
   /// allocator behaviour.
   std::size_t approx_bytes() const {
     return footprint_ + by_id_.size() * kApproxEntryOverhead;
@@ -94,16 +105,21 @@ class TupleIndex {
 
 #if TIAMAT_AUDIT_ENABLED
   /// Full structural re-verification (audit builds only): every stored
-  /// tuple in its arity shard's id list and — for arity > 0 — in exactly
-  /// one bucket whose key equals (and hashes equal to) the tuple's first
-  /// field; all id vectors strictly ascending; footprint accounting exact.
-  /// Traps through audit::fail on violation.
+  /// tuple counted in its arity shard and — for arity > 0 — in exactly one
+  /// bucket whose key equals (and hashes equal to) the tuple's first field;
+  /// every bucket entry's address is its own by_id_ node and its types equal
+  /// the recomputed signature; all buckets strictly ascending by id;
+  /// footprint accounting exact. Traps through audit::fail on violation.
   void audit_check(const char* checkpoint) const;
 
   /// Test hook: removes `id` from its shard bucket while leaving it in
-  /// by_id_ and the shard id list, manufacturing a bucket-membership
+  /// by_id_ and the shard count, manufacturing a bucket-membership
   /// violation for the corruption-trap tests.
   void audit_corrupt_bucket_for_test(TupleId id);
+
+  /// Test hook: flips the packed types of `id`'s bucket entry, making the
+  /// entry-signature invariant fail.
+  void audit_corrupt_signature_for_test(TupleId id);
 
  private:
   /// Differential oracle: re-runs a keyed find_matches as a linear scan of
@@ -116,14 +132,23 @@ class TupleIndex {
 #endif
 
  private:
-  // One shard per arity: hash buckets by first field for keyed probes, plus
-  // the shard-wide ascending id list for deterministic unkeyed scans.
-  // Bucket id vectors are kept sorted; ids arrive mostly in increasing
-  // order (spaces allocate them monotonically) so inserts are usually an
-  // amortized-O(1) push_back.
+  /// A bucket slot: the id, the tuple's address inside its by_id_ node
+  /// (std::map nodes never move while the tuple is stored) and its
+  /// type_signature(), so the type mask rejects without reading the tuple.
+  struct Entry {
+    TupleId id;
+    const Tuple* tuple;
+    std::uint64_t types;
+  };
+
+  // One shard per arity: hash buckets by first field for keyed probes, and
+  // the number of stored tuples of that arity, which gates and bounds the
+  // unkeyed walk. Bucket entries are kept sorted by id; ids arrive mostly in
+  // increasing order (spaces allocate them monotonically) so inserts are
+  // usually an amortized-O(1) push_back.
   struct Shard {
-    std::unordered_map<Value, std::vector<TupleId>, ValueHash> buckets;
-    std::vector<TupleId> ids;
+    std::unordered_map<Value, std::vector<Entry>, ValueHash> buckets;
+    std::size_t size = 0;
   };
 
   /// Shared lookup core: visits matching ids ascending until `fn` says
@@ -153,15 +178,14 @@ void TupleIndex::lookup(const CompiledPattern& p, Fn&& fn) const {
     metrics_.on_probe();
     auto bit = shard.buckets.find(p.key());
     if (bit != shard.buckets.end()) {
-      for (TupleId id : bit->second) {
+      for (const Entry& e : bit->second) {
         ++examined;
-        const Tuple& t = by_id_.find(id)->second;
         // Bucket membership already proves arity and first-field equality.
-        if (!p.matches_rest(t)) {
+        if (!p.matches_rest(*e.tuple, e.types)) {
           ++rejected;
           continue;
         }
-        if (!fn(id, t)) break;
+        if (!fn(e.id, *e.tuple)) break;
       }
     }
     stats_.candidates += examined;
@@ -170,16 +194,21 @@ void TupleIndex::lookup(const CompiledPattern& p, Fn&& fn) const {
     return;
   }
 
+  // Tuples of other arities are skipped uncounted, and the walk ends at the
+  // shard's last tuple, so the candidate sequence and counts are the arity
+  // shard's alone.
   ++stats_.scan_fallbacks;
   metrics_.on_scan();
-  for (TupleId id : shard.ids) {
+  for (auto it = by_id_.begin(); it != by_id_.end() && examined < shard.size;
+       ++it) {
+    const Tuple& t = it->second;
+    if (t.arity() != p.arity()) continue;
     ++examined;
-    const Tuple& t = by_id_.find(id)->second;
     if (!p.matches(t)) {
       ++rejected;
       continue;
     }
-    if (!fn(id, t)) break;
+    if (!fn(it->first, t)) break;
   }
   stats_.candidates += examined;
   stats_.rejected += rejected;

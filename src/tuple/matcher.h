@@ -7,10 +7,11 @@
 // two shared pieces:
 //
 //   CompiledPattern — a pattern with its match plan precomputed: arity,
-//     leading-actual key (and that key's hash), a field-kind signature, and
-//     the list of field positions that actually need checking (wildcards are
-//     dropped at compile time). Candidacy is rejected on arity/signature
-//     without walking fields; bucket probes skip re-checking the key field.
+//     leading-actual key (and that key's hash), a (mask, want) type mask
+//     over its formal fields, and the list of field positions that actually
+//     need checking (wildcards are dropped at compile time). Bucket probes
+//     test a candidate's packed type signature against the mask without
+//     reading the tuple, and skip re-checking the key field.
 //
 //   MatchStats — the engine's probe/scan accounting, shared by TupleIndex
 //     and WaiterIndex. Raw counters are always maintained (cheap integer
@@ -29,6 +30,14 @@
 #include "tuple/tuple.h"
 
 namespace tiamat::tuples {
+
+/// Fields whose types a type signature packs: 3 bits each, 21 * 3 = 63.
+inline constexpr std::size_t kSignatureFields = 21;
+
+/// Packs Type+1 into 3 bits per field for the first kSignatureFields
+/// fields (0 marks "no field"). TupleIndex stores it beside each bucket
+/// entry so a formal-field check needs no read of the tuple itself.
+std::uint64_t type_signature(const Tuple& t);
 
 /// A Pattern plus its precomputed match plan. Cheap to copy relative to the
 /// pattern it wraps (one extra small vector); built once per operation or
@@ -49,11 +58,6 @@ class CompiledPattern {
   /// Precomputed hash of key(); saves rehashing on every bucket probe.
   std::size_t key_hash() const { return key_hash_; }
 
-  /// 3 bits of Field::Kind per field (fields past 20 are not encoded).
-  /// Two patterns with different signatures can never have identical match
-  /// plans; used for cheap pattern comparison and engine diagnostics.
-  std::uint64_t kind_signature() const { return signature_; }
-
   /// True when every field is a wildcard: any tuple of the right arity
   /// matches, so the engine can skip per-field checks entirely.
   bool match_all() const { return checks_.empty(); }
@@ -68,11 +72,15 @@ class CompiledPattern {
   }
 
   /// Match for bucket-probe candidates: the caller guarantees arity and
-  /// first-field equality (that is what the bucket key means), so the key
-  /// field's equality check is skipped.
-  bool matches_rest(const Tuple& t) const {
-    for (std::uint32_t i : checks_) {
-      if (i == 0 && keyed_) continue;
+  /// first-field equality (that is what the bucket key means) and passes
+  /// the tuple's type_signature(). Formals within the signature are decided
+  /// by the type mask; `t` is read only for the remaining checks (actual,
+  /// range and prefix fields, and fields past the signature), so a pattern
+  /// whose non-key checks are all such formals never touches the tuple.
+  bool matches_rest(const Tuple& t, std::uint64_t types) const {
+    if ((types & type_mask_) != type_want_) return false;
+    for (std::size_t k = rest_begin_; k < rest_end_; ++k) {
+      const std::uint32_t i = checks_[k];
       if (!pattern_.fields()[i].matches(t[i])) return false;
     }
     return true;
@@ -80,8 +88,14 @@ class CompiledPattern {
 
  private:
   Pattern pattern_;
-  std::vector<std::uint32_t> checks_;  ///< non-wildcard field positions
-  std::uint64_t signature_ = 0;
+  /// Non-wildcard field positions, ordered [key][rest][masked formals]:
+  /// matches() walks all of them, matches_rest() only [rest_begin_,
+  /// rest_end_) after the type-mask test.
+  std::vector<std::uint32_t> checks_;
+  std::size_t rest_begin_ = 0;
+  std::size_t rest_end_ = 0;
+  std::uint64_t type_mask_ = 0;  ///< 3 bits set per formal field in range
+  std::uint64_t type_want_ = 0;  ///< Type+1 of those formals
   std::size_t key_hash_ = 0;
   bool keyed_ = false;
 };

@@ -80,7 +80,7 @@ class WaiterIndex {
   /// Ids of waiters whose bucket covers `t`, oldest first: the keyed
   /// (arity, first-field) bucket merged with the unkeyed overflow (filtered
   /// to the tuple's arity). Candidacy, not a full match — the caller still
-  /// applies pattern_of(id)->matches(t) (or matches_rest for keyed ones);
+  /// applies pattern_of(id)->matches(t);
   /// the index only guarantees no waiter outside the list can match.
   std::vector<std::uint64_t> candidates(const Tuple& t) const {
     std::uint64_t examined = 0;

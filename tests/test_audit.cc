@@ -65,7 +65,7 @@ TEST(AuditTrap, CorruptedBucketTrapsWithDiagnostic) {
   idx.insert(1, Tuple{"req", 1});
   idx.insert(2, Tuple{"req", 2});
   // Drop id 2 from the "req" bucket while it stays in by_id_ and the shard
-  // id list: a keyed probe would now silently miss a stored tuple.
+  // count: a keyed probe would now silently miss a stored tuple.
   idx.audit_corrupt_bucket_for_test(2);
 
   TrapRecorder rec;
@@ -74,6 +74,21 @@ TEST(AuditTrap, CorruptedBucketTrapsWithDiagnostic) {
   EXPECT_NE(rec.last().find("TIAMAT AUDIT TRAP"), std::string::npos);
   EXPECT_NE(rec.last().find("TupleIndex"), std::string::npos);
   EXPECT_NE(rec.last().find("bucket-membership"), std::string::npos);
+  EXPECT_NE(rec.last().find("tuple id 2"), std::string::npos);
+}
+
+TEST(AuditTrap, StaleEntrySignatureTrapsWithDiagnostic) {
+  TupleIndex idx;
+  idx.insert(1, Tuple{"req", 1});
+  idx.insert(2, Tuple{"req", 2});
+  // A bucket entry whose packed types disagree with its tuple would let the
+  // type mask accept or reject the wrong candidates without reading it.
+  idx.audit_corrupt_signature_for_test(2);
+
+  TrapRecorder rec;
+  idx.audit_check("test");
+  ASSERT_TRUE(rec.trapped());
+  EXPECT_NE(rec.last().find("entry-signature"), std::string::npos);
   EXPECT_NE(rec.last().find("tuple id 2"), std::string::npos);
 }
 

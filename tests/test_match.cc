@@ -1,9 +1,10 @@
 // Differential tests for the unified matching engine (src/tuple): the
 // bucketed TupleIndex and the keyed WaiterIndex are checked against naive
-// linear-scan oracles over randomized workloads covering every Field::Kind
-// and arities 0–6, plus regression tests pinning the behavioural contract
-// the spaces rely on: ascending-id match order, FIFO waiter priority, and
-// seed-determined nondeterministic selection.
+// linear-scan oracles over randomized workloads covering every Field::Kind,
+// arities 0–6 and wide tuples past the packed type signature, plus
+// regression tests pinning the behavioural contract the spaces rely on:
+// ascending-id match order, FIFO waiter priority, and seed-determined
+// nondeterministic selection.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -108,6 +110,33 @@ Pattern random_pattern(sim::Rng& rng, std::size_t arity,
   return Pattern(std::move(fields));
 }
 
+// Past tuples::kSignatureFields, so checks beyond the packed type
+// signature run through the per-field path.
+Tuple wide_tuple(sim::Rng& rng) {
+  std::vector<Value> fields;
+  const std::size_t arity = tuples::kSignatureFields + rng.index(4);
+  fields.reserve(arity);
+  for (std::size_t i = 0; i < arity; ++i) fields.push_back(random_value(rng));
+  return Tuple(std::move(fields));
+}
+
+// A wide pattern aimed at `target`: most fields copy its value or type so
+// matches happen despite the arity; the rest are random.
+Pattern wide_pattern(sim::Rng& rng, const Tuple& target) {
+  std::vector<Field> fields;
+  fields.reserve(target.arity());
+  for (const Value& v : target) {
+    if (!rng.chance(0.9)) {
+      fields.push_back(random_field(rng, &v));
+    } else if (rng.chance(0.5)) {
+      fields.push_back(Field::formal(v.type()));
+    } else {
+      fields.emplace_back(v);
+    }
+  }
+  return Pattern(std::move(fields));
+}
+
 std::vector<TupleId> oracle_matches(const std::map<TupleId, Tuple>& store,
                                     const Pattern& p) {
   std::vector<TupleId> out;
@@ -117,30 +146,61 @@ std::vector<TupleId> oracle_matches(const std::map<TupleId, Tuple>& store,
   return out;
 }
 
+// Candidates the engine must examine for a full lookup: the key bucket's
+// tuples for a keyed pattern, the arity's tuples for an unkeyed one.
+std::uint64_t oracle_candidates(const std::map<TupleId, Tuple>& store,
+                                const Pattern& p) {
+  std::uint64_t n = 0;
+  for (const auto& [id, t] : store) {
+    if (t.arity() != p.arity()) continue;
+    if (p.key() && !(t[0] == *p.key())) continue;
+    ++n;
+  }
+  return n;
+}
+
 // ---- TupleIndex vs the oracle ---------------------------------------------
 
 TEST(MatchEngine, DifferentialAgainstLinearScan) {
   sim::Rng rng(20260806);
   TupleIndex idx;
   std::map<TupleId, Tuple> shadow;  // ascending-id linear-scan oracle
+  std::vector<std::pair<TupleId, Tuple>> erased;  // candidates to reinsert
   TupleId next_id = 1;
 
   for (int step = 0; step < 3000; ++step) {
-    // Mutate: mostly inserts, some erases, so sizes drift up and down.
+    // Mutate: mostly inserts, some erases, so sizes drift up and down. Some
+    // inserts put an erased id back, as a released tentative take does, so
+    // entries land mid-bucket rather than at the end.
     const auto roll = rng.index(10);
     if (roll < 6 || shadow.empty()) {
       TupleId id = next_id++;
-      Tuple t = random_tuple(rng);
+      Tuple t = rng.chance(0.1) ? wide_tuple(rng) : random_tuple(rng);
+      if (!erased.empty() && rng.chance(0.2)) {
+        const std::size_t k = rng.index(erased.size());
+        id = erased[k].first;
+        t = std::move(erased[k].second);
+        erased.erase(erased.begin() + static_cast<long>(k));
+      }
       idx.insert(id, t);
       shadow.emplace(id, std::move(t));
     } else if (roll < 8) {
       auto it = shadow.begin();
       std::advance(it, static_cast<long>(rng.index(shadow.size())));
-      auto erased = idx.erase(it->first);
-      ASSERT_TRUE(erased.has_value());
-      EXPECT_EQ(*erased, it->second);
+      auto out = idx.erase(it->first);
+      ASSERT_TRUE(out.has_value());
+      EXPECT_EQ(*out, it->second);
+      erased.emplace_back(it->first, std::move(*out));
       shadow.erase(it);
     }
+    if (step == 1500) {
+      // Bucket entries point into the index's own nodes; a move must carry
+      // them along intact.
+      TupleIndex moved;
+      moved = std::move(idx);
+      idx = std::move(moved);
+    }
+    TIAMAT_AUDIT_CHECK(idx.audit_check("differential"));
 
     // Probe with a random pattern, sometimes aimed at a stored tuple.
     const Tuple* target = nullptr;
@@ -149,12 +209,25 @@ TEST(MatchEngine, DifferentialAgainstLinearScan) {
       std::advance(it, static_cast<long>(rng.index(shadow.size())));
       target = &it->second;
     }
-    const std::size_t arity =
-        target != nullptr && rng.chance(0.8) ? target->arity() : rng.index(7);
-    Pattern p = random_pattern(rng, arity, target);
+    Pattern p;
+    if (target != nullptr && target->arity() >= tuples::kSignatureFields) {
+      p = wide_pattern(rng, *target);
+    } else {
+      const std::size_t arity = target != nullptr && rng.chance(0.8)
+                                    ? target->arity()
+                                    : rng.index(7);
+      p = random_pattern(rng, arity, target);
+    }
     const std::vector<TupleId> expect = oracle_matches(shadow, p);
 
+    // A full lookup examines exactly the oracle's candidates and rejects
+    // the ones that do not match: the accounting the sim gates read.
+    const tuples::MatchStats before = idx.match_stats();
     EXPECT_EQ(idx.find_matches(p), expect) << "pattern " << p.to_string();
+    const std::uint64_t cands = oracle_candidates(shadow, p);
+    EXPECT_EQ(idx.match_stats().candidates - before.candidates, cands);
+    EXPECT_EQ(idx.match_stats().rejected - before.rejected,
+              cands - expect.size());
     EXPECT_EQ(idx.count_matches(p), expect.size());
     auto first = idx.find_first(p);
     if (expect.empty()) {
